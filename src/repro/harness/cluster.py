@@ -24,11 +24,6 @@ from repro.core.smr import check_output_sorted, check_prefix_consistency
 from repro.crypto.cost import DEFAULT_COSTS
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
-from repro.harness.backend import (
-    make_fault_injector,
-    make_latency_model,
-    make_simulator,
-)
 from repro.harness.config import ExperimentConfig
 from repro.metrics.invariants import InvariantWatchdog
 from repro.metrics.registry import MetricsRegistry
@@ -36,10 +31,11 @@ from repro.metrics.tracelog import TraceLog, install_lyra_tracing
 from repro.net.adversary import NullAdversary, PartialSynchronyAdversary
 from repro.net.dissemination import make_dissemination
 from repro.net.faults import FaultInjector
+from repro.net.latency import make_latency_model
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Topology
 from repro.metrics.fairness import fairness_block
-from repro.sim.engine import SECONDS
+from repro.sim.engine import SECONDS, Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload.clients import TxKey, _BaseClient
 from repro.workload.kvstore import KvStore
@@ -147,7 +143,7 @@ class LyraCluster:
         self.local_pids: Optional[frozenset] = (
             frozenset(local_pids) if local_pids is not None else None
         )
-        self.sim = make_simulator(config)
+        self.sim = Simulator()
         self.rng = RngRegistry(config.seed)
         f = config.resolved_f()
         n = config.n_nodes
@@ -185,11 +181,7 @@ class LyraCluster:
                     lambda_us=config.lambda_us,
                     check_dealing=config.check_dealing,
                     max_proposer_rate_per_s=config.max_proposer_rate_per_s,
-                    delta_piggyback=(
-                        config.delta_piggyback
-                        if config.delta_piggyback is not None
-                        else config.coalesce
-                    ),
+                    delta_piggyback=config.delta_piggyback,
                     report_quorum=config.report_quorum,
                 ),
                 status_interval_us=config.status_interval_us,
@@ -239,13 +231,14 @@ class LyraCluster:
         )
         self.clients: List[_BaseClient] = self.workload.clients
 
-        # Network.  The latency model is backend-selected: uniform links
-        # (jitter-free, analytically checkable) are shared, the geo matrix
-        # gets the scalar or numpy-batched jitter implementation.
-        # Kept on the cluster: ``base_us`` is the jitter-free ground truth
-        # the distance-estimator error metrics are measured against.
+        # Network.  Kept on the cluster: the latency model's ``base_us`` is
+        # the jitter-free ground truth the distance-estimator error metrics
+        # are measured against.
         self.latency = latency = make_latency_model(
-            config, self.topology.placement, self.rng
+            self.topology.placement,
+            jitter=config.jitter,
+            uniform_delay_us=config.uniform_delay_us,
+            rng=self.rng,
         )
         adversary = (
             PartialSynchronyAdversary(
@@ -272,7 +265,7 @@ class LyraCluster:
                 )
             )
             plan.validate_for(n, f, byzantine=byz)
-            self.fault_injector = make_fault_injector(config, plan, self.rng)
+            self.fault_injector = FaultInjector(plan, self.rng)
         self.network = Network(
             self.sim,
             latency,

@@ -34,12 +34,6 @@ class ExperimentConfig:
     f: Optional[int] = None
     regions: Sequence[str] = field(default_factory=lambda: list(EVAL_REGIONS))
     seed: int = 1
-    #: Simulation backend: ``"python"`` (the reference engine) or
-    #: ``"vector"`` (arena event storage + numpy-batched latency/fault
-    #: draws — same schedules, same decided prefixes, less interpreter
-    #: overhead; see EXPERIMENTS.md "Backends").  Runs are bit-identical
-    #: across backends for the same ``(seed, config)`` by construction.
-    backend: str = "python"
 
     # Network.
     delta_us: int = 150 * MILLISECONDS
@@ -80,7 +74,7 @@ class ExperimentConfig:
     #: default — bit-identical to the checked-in digest oracles) or
     #: ``"gossip"`` (epidemic constant-fan-out estimation, O(n·fanout)
     #: messages per round; see :mod:`repro.core.gossip_distance`).
-    #: Resolved per node at ``build_cluster`` time like ``backend``.
+    #: Resolved per node at ``build_cluster`` time.
     distance_mode: str = "probe"
     #: Peers each node contacts per gossip round (gossip mode only).
     gossip_fanout: int = DEFAULT_GOSSIP_FANOUT
@@ -140,8 +134,8 @@ class ExperimentConfig:
     coalesce_window_us: int = 0
     #: Delta-encode Algorithm-4 piggyback reports: full reports only when
     #: the min-pending/accepted state changed, cheap "no change since seq
-    #: k" markers otherwise.  ``None`` follows ``coalesce``.
-    delta_piggyback: Optional[bool] = None
+    #: k" markers otherwise.  Independent of ``coalesce``.
+    delta_piggyback: bool = False
 
     # Observability: span tracing (proposed → decided → committed →
     # executed per instance, read via ``cluster.trace``) and the metrics
@@ -152,10 +146,6 @@ class ExperimentConfig:
     metrics: bool = False
 
     def __post_init__(self) -> None:
-        if self.backend not in ("python", "vector"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}: expected 'python' or 'vector'"
-            )
         # Late import: net.dissemination must not import harness code.
         from repro.net.dissemination import DISSEMINATION_STRATEGIES
 

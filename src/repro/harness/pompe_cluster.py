@@ -14,14 +14,14 @@ from repro.core.smr import check_prefix_consistency
 from repro.crypto.cost import DEFAULT_COSTS
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
-from repro.harness.backend import make_simulator, resolve_backend
 from repro.harness.cluster import ExperimentResult
 from repro.harness.config import ExperimentConfig
 from repro.metrics.fairness import fairness_block
 from repro.net.adversary import NullAdversary, PartialSynchronyAdversary
-from repro.net.latency import GeoLatencyModel
+from repro.net.latency import make_latency_model
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Topology
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload.clients import TxKey, _BaseClient
 from repro.workload.spec import build_workload
@@ -42,7 +42,7 @@ class PompeCluster:
         node_kwargs=None,
     ) -> None:
         self.config = config
-        self.sim = make_simulator(config)
+        self.sim = Simulator()
         self.rng = RngRegistry(config.seed)
         f = config.resolved_f()
         n = config.n_nodes
@@ -114,18 +114,12 @@ class PompeCluster:
 
             node.observe_batch = tap
 
-        # Backend-selected jitter implementation (Pompē always runs the
-        # geo matrix; it has no uniform-delay mode).
-        if resolve_backend(config) == "vector":
-            from repro.net.latency import VectorGeoLatencyModel
-
-            latency = VectorGeoLatencyModel(
-                self.topology.placement, jitter=config.jitter, rng=self.rng
-            )
-        else:
-            latency = GeoLatencyModel(
-                self.topology.placement, jitter=config.jitter, rng=self.rng
-            )
+        latency = make_latency_model(
+            self.topology.placement,
+            jitter=config.jitter,
+            uniform_delay_us=config.uniform_delay_us,
+            rng=self.rng,
+        )
         adversary = (
             PartialSynchronyAdversary(
                 config.gst_us,

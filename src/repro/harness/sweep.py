@@ -62,7 +62,7 @@ from repro.harness.config import ExperimentConfig
 #: Schema 2: canonical same-instant delivery ordering (deliveries run at
 #: priority src+1) and per-source jitter streams — every digest changed —
 #: plus the ``dissemination``/``fanout`` config knobs (hashed via
-#: ``config.to_dict()`` like ``backend`` and every other field).
+#: ``config.to_dict()`` like every other field).
 CACHE_SCHEMA = 2
 
 

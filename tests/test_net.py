@@ -13,6 +13,7 @@ from repro.net.latency import (
     AWS_ONE_WAY_MS,
     GeoLatencyModel,
     UniformLatencyModel,
+    make_latency_model,
     region_latency_ms,
     triangle_violations,
 )
@@ -112,6 +113,60 @@ class TestLatencyModels:
         model = GeoLatencyModel(topo.placement, jitter=0.0)
         new_pid = topo.place("sydney")
         assert model.base_us(0, new_pid) == int(70.0 * MILLISECONDS)
+
+    @staticmethod
+    def _geo_twins(seed, jitter=0.015):
+        placement = Topology(8, EVAL_REGIONS).placement
+        return tuple(
+            GeoLatencyModel(placement, jitter=jitter, rng=RngRegistry(seed))
+            for _ in range(2)
+        )
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_geo_block_matches_scalar_sequence(self, seed):
+        scalar, block = self._geo_twins(seed)
+        dsts = list(range(8))
+        # More fan-outs than one 1024-variate buffer holds, so refills
+        # happen mid-block.
+        for src in (0, 3, 5) * 60:
+            want = [scalar.one_way_us(src, d) for d in dsts]
+            assert block.one_way_block(src, dsts) == want
+
+    @pytest.mark.parametrize("seed", [2, 11])
+    def test_geo_interleaved_scalar_and_block(self, seed):
+        """Scalar and batched calls share one jitter stream: any
+        interleaving consumes the same variates as all-scalar calls."""
+        import random
+
+        scalar, mixed = self._geo_twins(seed)
+        rnd = random.Random(seed)
+        for _ in range(600):
+            src = rnd.randrange(8)
+            if rnd.random() < 0.5:
+                dst = rnd.randrange(8)
+                assert mixed.one_way_us(src, dst) == scalar.one_way_us(src, dst)
+            else:
+                dsts = sorted(rnd.sample(range(8), rnd.randint(1, 8)))
+                want = [scalar.one_way_us(src, d) for d in dsts]
+                assert mixed.one_way_block(src, dsts) == want
+
+    def test_geo_block_jitter_free(self):
+        scalar, block = self._geo_twins(1, jitter=0.0)
+        dsts = list(range(8))
+        assert block.one_way_block(2, dsts) == [scalar.one_way_us(2, d) for d in dsts]
+
+    def test_make_latency_model_picks_uniform_or_geo(self):
+        placement = Topology(3, EVAL_REGIONS).placement
+        uniform = make_latency_model(
+            placement, jitter=0.015, uniform_delay_us=2000, rng=RngRegistry(1)
+        )
+        assert isinstance(uniform, UniformLatencyModel)
+        assert uniform.one_way_us(0, 1) == 2000
+        geo = make_latency_model(
+            placement, jitter=0.015, uniform_delay_us=None, rng=RngRegistry(1)
+        )
+        assert isinstance(geo, GeoLatencyModel)
+        assert geo.jitter == 0.015
 
 
 class TestTopology:

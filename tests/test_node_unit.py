@@ -98,6 +98,21 @@ class TestReceiveCosts:
         assert node.messages_received == 1
         assert sim.now >= 50_000
 
+    def test_receive_charge_plan_sums_like_loop(self):
+        from repro.crypto.cost import ReceiveChargePlan
+
+        table = {"a": 2, "b": 3}
+        fallback_calls = []
+
+        def fallback(m):
+            fallback_calls.append(m.kind)
+            return 7
+
+        plan = ReceiveChargePlan(table, fallback)
+        msgs = [Message("a", {}), Message("b", {}), Message("zzz", {}), Message("a", {})]
+        assert plan.total_us(msgs) == 2 + 3 + 7 + 2
+        assert fallback_calls == ["zzz"]
+
 
 class TestBatching:
     def test_full_batch_triggers_proposal(self):

@@ -320,6 +320,7 @@ class TestCoalescingDrain:
         cfg = quick_lyra_config(
             coalesce=True,
             coalesce_window_us=20 * MILLISECONDS,
+            delta_piggyback=True,
             duration_us=3 * SECONDS,
         )
         cluster = build_cluster(cfg, protocol="lyra")
@@ -336,6 +337,40 @@ class TestCoalescingDrain:
 # ----------------------------------------------------------------------
 # Cluster integration: digest neutrality, crash–recovery, sweep rollup
 # ----------------------------------------------------------------------
+class TestDeltaPiggybackKnob:
+    """``delta_piggyback`` is its own knob: coalescing alone must not
+    switch Algorithm-4 reports to delta encoding."""
+
+    @staticmethod
+    def _delta_reports(monkeypatch, **overrides):
+        from repro.core.commit import CommitState
+
+        calls = []
+        original = CommitState.piggyback_delta
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(CommitState, "piggyback_delta", counting)
+        cfg = quick_lyra_config(duration_us=1500 * MILLISECONDS, **overrides)
+        cluster = build_cluster(cfg, protocol="lyra")
+        cluster.run()
+        return cluster, len(calls)
+
+    def test_coalesce_alone_keeps_full_reports(self, monkeypatch):
+        cluster, deltas = self._delta_reports(
+            monkeypatch, coalesce=True, coalesce_window_us=1000
+        )
+        assert all(not n.config.commit.delta_piggyback for n in cluster.nodes)
+        assert deltas == 0
+
+    def test_delta_piggyback_switches_encoding(self, monkeypatch):
+        cluster, deltas = self._delta_reports(monkeypatch, delta_piggyback=True)
+        assert all(n.config.commit.delta_piggyback for n in cluster.nodes)
+        assert deltas > 0
+
+
 class TestClusterObservability:
     def test_tracing_and_metrics_do_not_perturb_the_run(self):
         """The whole layer must be read-only: same seed, same decided

@@ -1,6 +1,8 @@
 """Tests for the Pompē baseline: ordering phase, median assignment,
 timestamp-ordered execution, end-to-end runs, and ordering linearizability."""
 
+import dataclasses
+
 import pytest
 
 from repro.harness.config import ExperimentConfig
@@ -45,6 +47,24 @@ class TestEndToEnd:
         # ~10 delays vs ~3 delays + commit lag: Pompē should not be faster
         # by any meaningful margin on the same topology.
         assert pompe_result.avg_latency_us > 0.75 * lyra_result.avg_latency_us
+
+    def test_uniform_delay_honoured(self):
+        from repro.harness import build_cluster
+        from repro.net.latency import UniformLatencyModel
+
+        cfg = quick_lyra_config(duration_us=3 * SECONDS)
+        geo = build_cluster(cfg, protocol="pompe")
+        uniform = build_cluster(
+            dataclasses.replace(cfg, uniform_delay_us=20 * MILLISECONDS),
+            protocol="pompe",
+        )
+        assert isinstance(uniform.network.latency, UniformLatencyModel)
+        assert not isinstance(geo.network.latency, UniformLatencyModel)
+        geo_result = geo.run()
+        uniform_result = uniform.run()
+        assert uniform_result.committed_count > 0
+        assert uniform_result.avg_latency_us != geo_result.avg_latency_us
+        assert uniform_result.events_processed != geo_result.events_processed
 
     def test_determinism(self):
         cfg = quick_lyra_config(duration_us=3 * SECONDS)

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import heapq
+import random
+
 import pytest
 
 from repro.sim.engine import (
@@ -163,3 +166,134 @@ class TestRunControl:
             return order
 
         assert run_once() == run_once()
+
+
+class _ModelEvent:
+    def __init__(self, callback):
+        self.callback = callback
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ModelSimulator:
+    """Reference semantics of :class:`Simulator`: one heap popping the
+    least ``(time, priority, seq)`` key among live events — a sort by
+    that key, extended to events that callbacks schedule mid-run — plus
+    end-of-instant hooks that fire before the clock leaves a dirty
+    instant (and before the ``until`` check)."""
+
+    def __init__(self):
+        self.now = 0
+        self.events_processed = 0
+        self._heap = []
+        self._seq = 0
+        self._hooks = []
+        self._dirty = False
+
+    def schedule(self, delay, callback, *, priority=0):
+        event = _ModelEvent(callback)
+        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
+        self._seq += 1
+        return event
+
+    def schedule_block(self, items, *, priority=0):
+        for delay, callback in items:
+            self.schedule(delay, callback, priority=priority)
+
+    def add_end_of_instant_hook(self, hook):
+        self._hooks.append(hook)
+
+    def mark_instant_dirty(self):
+        self._dirty = True
+
+    def run(self, until):
+        heap = self._heap
+        while True:
+            while heap and heap[0][3].cancelled:
+                heapq.heappop(heap)
+            head = heap[0] if heap else None
+            if self._dirty and (head is None or head[0] > self.now):
+                self._dirty = False
+                for hook in self._hooks:
+                    hook()
+                continue
+            if head is None or head[0] > until:
+                self.now = until
+                return
+            heapq.heappop(heap)
+            self.now = head[0]
+            self.events_processed += 1
+            head[3].callback()
+
+
+def _fuzz_schedule(sim, log, seed, events=400):
+    """Random mix of ``schedule`` (several priorities), ``schedule_block``,
+    nested same-instant scheduling from callbacks, and cancellation."""
+    rnd = random.Random(seed)
+    rnd_inner = random.Random(seed + 1)
+    cancellable = []
+
+    def make_cb(tag):
+        def cb():
+            log.append((sim.now, tag))
+            # Nested scheduling, including delay 0 at a priority below
+            # the running event's (lands mid-bucket while it drains).
+            if rnd_inner.random() < 0.25:
+                sim.schedule(
+                    rnd_inner.randrange(0, 5),
+                    make_cb((tag, "n")),
+                    priority=rnd_inner.choice([0, 1, 5]),
+                )
+
+        return cb
+
+    for i in range(events):
+        kind = rnd.random()
+        delay = rnd.randrange(0, 50)
+        if kind < 0.6:
+            ev = sim.schedule(delay, make_cb(("s", i)), priority=rnd.choice([0, 0, 1, 5]))
+            if rnd.random() < 0.3:
+                cancellable.append(ev)
+        else:
+            block = [
+                (delay + j % 3, make_cb(("blk", i, j)))
+                for j in range(rnd.randrange(1, 5))
+            ]
+            sim.schedule_block(block, priority=rnd.choice([0, 2]))
+        if cancellable and rnd.random() < 0.2:
+            cancellable.pop(rnd.randrange(len(cancellable))).cancel()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
+def test_simulator_orders_like_model(seed):
+    logs = []
+    for cls in (Simulator, _ModelSimulator):
+        sim = cls()
+        log = []
+        _fuzz_schedule(sim, log, seed)
+        sim.run(until=200)
+        logs.append((log, sim.now, sim.events_processed))
+    assert logs[0] == logs[1]
+    assert len(logs[0][0]) > 400
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_simulator_instant_hooks_order_like_model(seed):
+    logs = []
+    for cls in (Simulator, _ModelSimulator):
+        sim = cls()
+        log = []
+
+        def hook(sim=sim, log=log):
+            log.append((sim.now, "hook"))
+
+        sim.add_end_of_instant_hook(hook)
+        _fuzz_schedule(sim, log, seed)
+        for t in (0, 3, 10, 200):
+            sim.schedule(t, sim.mark_instant_dirty)
+        sim.run(until=200)
+        logs.append((log, sim.now, sim.events_processed))
+    assert logs[0] == logs[1]
+    assert sum(1 for _, tag in logs[0][0] if tag == "hook") == 4

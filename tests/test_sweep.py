@@ -171,6 +171,15 @@ class TestResultRoundTrip:
         with pytest.raises(ValueError, match="unknown ExperimentConfig"):
             ExperimentConfig.from_dict({"n_nodes": 4, "bogus": 1})
 
+    def test_stale_backend_field_rejected(self):
+        # Sweep-cache records written while configs still carried a
+        # ``backend`` field must fail loudly, not load with it ignored.
+        stale = {**tiny_config().to_dict(), "backend": "python"}
+        with pytest.raises(ValueError, match="backend"):
+            ExperimentConfig.from_dict(stale)
+        with pytest.raises(TypeError):
+            ExperimentConfig(backend="python")
+
 
 class TestFactoryAndShims:
     def test_factory_builds_each_protocol(self):

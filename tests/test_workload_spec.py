@@ -242,6 +242,7 @@ def run_cluster_cell(protocol="lyra", *, coalesce=False, metrics=False, seed=5):
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
         coalesce=coalesce,
+        delta_piggyback=coalesce,
         metrics=metrics,
         workload=WorkloadSpec(
             groups=(

@@ -708,7 +708,6 @@ def cmd_bench(args) -> None:
         quick=args.quick,
         macro_n=args.n,
         macro_duration_ms=args.duration_ms,
-        coalesce=args.coalesce,
         observability=args.observability,
         shards=args.shards,
         dissemination=args.dissemination,
@@ -1051,12 +1050,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="BASELINE_JSON",
         help="compare against a baseline report; exit 1 on regression",
-    )
-    pbench.add_argument(
-        "--coalesce",
-        action="store_true",
-        help="also run *_coalesced macro cells (wire coalescing + delta "
-        "piggybacks on; the classic cells still run for digest checks)",
     )
     pbench.add_argument(
         "--observability",

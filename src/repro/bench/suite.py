@@ -48,11 +48,6 @@ OBSERVABILITY_MAX_OVERHEAD = 0.05
 #: regressions do.
 OBSERVABILITY_REPEATS = 9
 
-#: Coalescing window used by the ``*_coalesced`` macro cells: long enough
-#: to bundle protocol bursts (~2x ratio at n=32) while staying well under
-#: the WAN latency grain, so ordering behaviour stays realistic.
-COALESCE_BENCH_WINDOW_US = 1000
-
 
 def default_output_path(directory: str | Path = ".") -> Path:
     """``BENCH_<ISO date>.json`` in ``directory``."""
@@ -396,11 +391,6 @@ def _run_macro_cell(
         "caches": _cache_snapshot(cluster),
     }
     wire = result.wire_stats
-    if "frames_sent" in wire:
-        cell["coalesced"] = True
-        cell["frames_sent"] = wire["frames_sent"]
-        cell["wire_messages_sent"] = wire["messages_sent"]
-        cell["coalescing_ratio"] = wire["coalescing_ratio"]
     if config.dissemination != "all2all":
         cell["dissemination"] = config.dissemination
         cell["fanout"] = config.fanout
@@ -476,11 +466,6 @@ def _run_sharded_cell(name: str, config, n_shards: int) -> Dict[str, Any]:
         "worker_loop_cpu_s": list(run.worker_loop_cpu_s),
     }
     wire = result.wire_stats
-    if "frames_sent" in wire:
-        cell["coalesced"] = True
-        cell["frames_sent"] = wire["frames_sent"]
-        cell["wire_messages_sent"] = wire["messages_sent"]
-        cell["coalescing_ratio"] = wire["coalescing_ratio"]
     if config.dissemination != "all2all":
         cell["dissemination"] = config.dissemination
         cell["fanout"] = config.fanout
@@ -497,7 +482,6 @@ def run_bench_suite(
     quick: bool = False,
     macro_n: Optional[int] = None,
     macro_duration_ms: Optional[int] = None,
-    coalesce: bool = False,
     observability: bool = False,
     shards: int = 1,
     dissemination: Optional[str] = None,
@@ -514,9 +498,6 @@ def run_bench_suite(
     ``macro_n``/``macro_duration_ms`` override the headline cell's shape
     (the prefix digest is then only comparable to baselines with the same
     shape — ``check_against_baseline`` checks that before comparing).
-    ``coalesce`` adds ``*_coalesced`` variants of the macro cells (wire
-    coalescing + delta piggybacks on); the classic cells still run, so a
-    coalescing report remains digest-comparable on the compat path.
     ``observability`` adds an ``*_observed`` headline variant with span
     tracing and the metrics registry enabled — ``check_observability``
     then gates its cost (<5% events/sec overhead, identical digest).
@@ -567,21 +548,6 @@ def run_bench_suite(
         # cell's, so future builds must reproduce the n=100 schedule
         # bit-for-bit.
         cells.append(("goodcase_n100", _goodcase_config(100, 1000)))
-    if coalesce:
-        for name, base_cfg in list(cells):
-            if name == "goodcase_n100":
-                continue
-            cells.append(
-                (
-                    f"{name}_coalesced",
-                    dataclasses.replace(
-                        base_cfg,
-                        coalesce=True,
-                        coalesce_window_us=COALESCE_BENCH_WINDOW_US,
-                        delta_piggyback=True,
-                    ),
-                )
-            )
     if dissemination and dissemination != "all2all":
         for name, base_cfg in list(cells):
             if name not in (headline, "goodcase_n100"):
@@ -728,7 +694,6 @@ def _cell_shape(cell: Dict[str, Any]) -> tuple:
         cell.get("n"),
         cell.get("seed"),
         cell.get("duration_ms"),
-        bool(cell.get("coalesced")),
     )
 
 
@@ -979,7 +944,6 @@ __all__ = [
     "check_observability",
     "check_sharding",
     "check_dissemination",
-    "COALESCE_BENCH_WINDOW_US",
     "environment_block",
     "run_bench_suite",
     "write_report",

@@ -57,7 +57,7 @@ from repro.core.vvb import (
     VOTE0_KIND,
     VOTE1_KIND,
 )
-from repro.crypto.cost import CryptoCosts, DEFAULT_COSTS, ReceiveChargePlan
+from repro.crypto.cost import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
 from repro.net.message import Message
@@ -192,8 +192,6 @@ class LyraNode(SimProcess):
         self.config = config or LyraConfig()
         self.rng = (rng or RngRegistry(0)).get("node", str(pid))
         self.costs = self.config.costs
-        # Batched charging for coalesced frames: one summed acquire.
-        self._charge_plan = ReceiveChargePlan(self._RECEIVE_COSTS, self._receive_cost)
 
         self.clock = OrderingClock(
             sim,
@@ -523,43 +521,6 @@ class LyraNode(SimProcess):
         if self.crashed or self.incarnation != epoch:
             return
         self._process(message, sender)
-
-    def deliver_batch(self, messages: List[Message], sender: int) -> None:
-        """Deliver all messages of one coalesced frame: one CPU acquire and
-        one deferred event cover the whole batch, preserving the serialised
-        total cost of delivering them back to back."""
-        if self.crashed:
-            return
-        self.messages_received += len(messages)
-        cost = self._charge_plan.total_us(messages)
-        now = self.sim._now
-        cpu = self.cpu
-        if cpu._speed == 1.0:
-            free = cpu._free_at
-            start = now if now > free else free
-            done_at = start + cost
-            cpu._free_at = done_at
-            cpu.busy_time += cost
-        else:
-            done_at = cpu.acquire(cost)
-        if done_at <= now:
-            for message in messages:
-                self._process(message, sender)
-        else:
-            self.sim.schedule(
-                done_at - now,
-                partial(
-                    self._process_batch_deferred, messages, sender, self.incarnation
-                ),
-            )
-
-    def _process_batch_deferred(
-        self, messages: List[Message], sender: int, epoch: int
-    ) -> None:
-        if self.crashed or self.incarnation != epoch:
-            return
-        for message in messages:
-            self._process(message, sender)
 
     def _process(self, message: Message, sender: int) -> None:
         if self.crashed:

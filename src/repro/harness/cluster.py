@@ -1,6 +1,6 @@
 """Cluster builders and the experiment runner.
 
-``build_lyra_cluster`` assembles a full simulated deployment — topology,
+:class:`LyraCluster` assembles a full simulated deployment — topology,
 WAN, PKI, threshold/VSS schemes, replicas, closed-loop clients — from an
 :class:`~repro.harness.config.ExperimentConfig`, runs it for the configured
 virtual duration, and returns consolidated measurements plus safety-check
@@ -67,8 +67,8 @@ class ExperimentResult:
     invariant_checks: int = 0
     invariant_violations: List[str] = field(default_factory=list)
     fault_stats: Dict[str, int] = field(default_factory=dict)
-    # Link-level coalescing counters (frames vs logical messages); empty
-    # dict when the run did not enable coalescing.
+    # Dissemination and gossip-distance counters; empty dict when the run
+    # used native all2all and the static distance warm-up.
     wire_stats: Dict[str, Any] = field(default_factory=dict)
     # Observability: the metrics-registry snapshot of the run (empty dict
     # unless ``ExperimentConfig.metrics`` was on).  Plain JSON, so it
@@ -285,8 +285,6 @@ class LyraCluster:
             self.network.set_dissemination(self.dissemination)
         if config.reliable_channels:
             self.network.enable_reliable()
-        if config.coalesce:
-            self.network.enable_coalescing(config.coalesce_window_us)
         for node in self.nodes:
             self.network.register(node, replica=True)
         for client in self.clients:
@@ -402,15 +400,12 @@ class LyraCluster:
     # ------------------------------------------------------------------
     def _wire_source(self) -> Dict[str, float]:
         net = self.network
-        out: Dict[str, float] = {
+        return {
             "messages_delivered": net.messages_delivered,
             "bytes_delivered": net.bytes_delivered,
             "unroutable_dropped": net.unroutable_dropped,
             "corrupt_dropped": net.corrupt_dropped,
         }
-        if net.wire_stats.frames_sent:
-            out.update(net.wire_stats.to_dict())
-        return out
 
     def _cache_source(self) -> Dict[str, float]:
         from repro.crypto import feldman, hashing
@@ -532,8 +527,6 @@ class LyraCluster:
         loop_start = time.perf_counter()
         try:
             self.sim.run(until=cfg.duration_us)
-            if self.network.coalescing_enabled and self.network.pending_coalesced():
-                self._drain_coalesced(cfg.duration_us)
         finally:
             sim_wall_s = time.perf_counter() - loop_start
             if gc_was_enabled:
@@ -599,13 +592,9 @@ class LyraCluster:
             )
             block["counts"] = self.workload.counts()
             result.fairness = block
-        if self.network.wire_stats.frames_sent:
-            result.wire_stats = self.network.wire_stats.to_dict()
         if self.dissemination is not None:
-            result.wire_stats = dict(result.wire_stats)
             result.wire_stats["dissemination"] = self.dissemination.stats_dict()
         if cfg.distance_mode == "gossip":
-            result.wire_stats = dict(result.wire_stats)
             result.wire_stats["gossip_distance"] = self.gossip_distance_stats()
             result.wire_stats["distance_error"] = self.distance_error_stats()
         if self.metrics is not None:
@@ -630,28 +619,6 @@ class LyraCluster:
                         break
         return result
 
-    def _drain_coalesced(self, horizon_us: int) -> None:
-        """Flush coalescing windows left open at the run horizon.
-
-        With ``coalesce_window_us > 0`` the shared per-burst flush timer
-        can land past ``duration_us``, which would strand messages in
-        their outboxes — commits in flight at the cutoff would silently
-        vanish.  Force-flush and give the protocol a bounded grace (in
-        Δ-sized steps, re-flushing between steps) so in-flight work
-        lands.  No-op for window-0 coalescing (end-of-instant hooks keep
-        outboxes empty) and for non-coalesced runs, whose event streams
-        — and decided-prefix digests — are therefore unchanged.
-        """
-        delta = self.network.delta_us
-        deadline = horizon_us + 10 * delta
-        while True:
-            self.network.drain_pending()
-            if self.sim.now >= deadline:
-                break
-            self.sim.run(until=min(self.sim.now + delta, deadline))
-            if not self.network.pending_coalesced():
-                break
-
     def _windowed_throughput(self, measure_from: int) -> float:
         """Committed-transaction throughput over the measurement window,
         from replica-side execution timestamps (the paper reports
@@ -670,26 +637,4 @@ class LyraCluster:
         return total * 1_000_000.0 / window_us
 
 
-def build_lyra_cluster(
-    config: ExperimentConfig,
-    *,
-    node_classes: Optional[Dict[int, type]] = None,
-    node_kwargs: Optional[Dict[int, dict]] = None,
-) -> LyraCluster:
-    """Deprecated: use ``build_cluster(config, protocol="lyra")``."""
-    import warnings
-
-    warnings.warn(
-        "build_lyra_cluster is deprecated; use "
-        "repro.harness.build_cluster(config, protocol='lyra')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.harness.factory import build_cluster
-
-    return build_cluster(
-        config, protocol="lyra", node_classes=node_classes, node_kwargs=node_kwargs
-    )
-
-
-__all__ = ["LyraCluster", "ExperimentResult", "build_lyra_cluster"]
+__all__ = ["LyraCluster", "ExperimentResult"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -92,12 +91,6 @@ class ExperimentConfig:
     workload: Optional[WorkloadSpec] = None
     clients_per_node: int = 1
     client_window: int = 50
-    #: Deprecated (use ``workload``): extra light-load probe clients (one
-    #: per node, up to this count) with their own small request window —
-    #: the Fig. 2 latency measurement rig.
-    probe_clients: int = 0
-    #: Deprecated (use ``workload``): request window of the probes.
-    probe_window: int = 1
     duration_us: int = 5 * SECONDS
     #: Measurement starts after clients have ramped up.
     measure_after_us: Optional[int] = None
@@ -124,17 +117,9 @@ class ExperimentConfig:
     # Cost model scaling (1.0 = DESIGN.md §5 calibration).
     cpu_cost_scale: float = 1.0
 
-    # Wire-frame coalescing: bundle all messages a node emits toward one
-    # destination within the same simulated instant (window 0) — or within
-    # ``coalesce_window_us`` of the first enqueue — into a single frame
-    # with one event, one latency/bandwidth draw, one checksum and one
-    # fault draw.  Off by default: the compat path is the bit-determinism
-    # oracle that coalesced runs are validated against.
-    coalesce: bool = False
-    coalesce_window_us: int = 0
     #: Delta-encode Algorithm-4 piggyback reports: full reports only when
     #: the min-pending/accepted state changed, cheap "no change since seq
-    #: k" markers otherwise.  Independent of ``coalesce``.
+    #: k" markers otherwise.
     delta_piggyback: bool = False
 
     # Observability: span tracing (proposed → decided → committed →
@@ -195,27 +180,16 @@ class ExperimentConfig:
     def resolved_workload(self) -> WorkloadSpec:
         """The effective :class:`WorkloadSpec` of this run.
 
-        An explicit ``workload`` wins; otherwise the deprecated legacy
-        knobs (``clients_per_node`` / ``client_window`` /
-        ``probe_clients`` / ``probe_window``) are shimmed into an
+        An explicit ``workload`` wins; otherwise the legacy knobs
+        (``clients_per_node`` / ``client_window``) are shimmed into an
         equivalent spec that reproduces the historical client rig
         bit-for-bit.
         """
         if self.workload is not None:
             return self.workload
-        if self.probe_clients != 0 or self.probe_window != 1:
-            warnings.warn(
-                "ExperimentConfig.probe_clients/probe_window are "
-                "deprecated; pass an equivalent WorkloadSpec via "
-                "ExperimentConfig.workload instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         return WorkloadSpec.from_legacy(
             clients_per_node=self.clients_per_node,
             client_window=self.client_window,
-            probe_clients=self.probe_clients,
-            probe_window=self.probe_window,
         )
 
     # ------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Unified cluster construction: one factory for every protocol.
 
-Historically each system had its own entry point (``build_lyra_cluster``,
-``build_pompe_cluster``, ad-hoc baseline wiring), so every sweep, benchmark
-and CLI command grew per-protocol code paths.  :func:`build_cluster`
-collapses them behind a single registry keyed by protocol name; every
+:func:`build_cluster` puts every protocol behind a single registry keyed
+by protocol name, so sweeps, benchmarks and CLI commands need no
+per-protocol code paths; every
 registered builder takes the same ``(config, *, node_classes, node_kwargs)``
 signature and returns a cluster whose ``run()`` yields the shared
 :class:`~repro.harness.cluster.ExperimentResult` schema.
@@ -48,7 +47,7 @@ def build_cluster(
     """Construct (but do not run) a cluster for ``protocol``.
 
     ``node_classes`` / ``node_kwargs`` inject Byzantine node subclasses per
-    pid, exactly as the per-protocol builders did.
+    pid.
     """
     builder = _REGISTRY.get(protocol.lower())
     if builder is None:

@@ -26,6 +26,28 @@ from repro.sim.rng import RngRegistry
 from repro.workload.clients import TxKey, _BaseClient
 from repro.workload.spec import build_workload
 
+#: ``ExperimentConfig`` knobs this cluster does not wire, each with the
+#: test for a value that would ask for it.  A run that sets one is
+#: refused: silently ignoring it would label a clean run with faults,
+#: channels or observability that never ran.
+_UNSUPPORTED = (
+    ("fault_plan", lambda plan: plan is not None and not plan.empty),
+    ("reliable_channels", bool),
+    ("dissemination", lambda strategy: strategy != "all2all"),
+    ("tracing", bool),
+    ("metrics", bool),
+    ("attack_nodes", bool),
+)
+
+
+def _check_supported(config: ExperimentConfig) -> None:
+    for name, requested in _UNSUPPORTED:
+        value = getattr(config, name)
+        if requested(value):
+            raise ValueError(
+                f"Pompē cluster does not support ExperimentConfig.{name}={value!r}"
+            )
+
 
 class PompeCluster:
     """A fully wired Pompē deployment inside one simulator.
@@ -41,6 +63,7 @@ class PompeCluster:
         node_classes=None,
         node_kwargs=None,
     ) -> None:
+        _check_supported(config)
         self.config = config
         self.sim = Simulator()
         self.rng = RngRegistry(config.seed)
@@ -217,23 +240,4 @@ class PompeCluster:
         return result
 
 
-def build_pompe_cluster(
-    config: ExperimentConfig, *, node_classes=None, node_kwargs=None
-) -> PompeCluster:
-    """Deprecated: use ``build_cluster(config, protocol="pompe")``."""
-    import warnings
-
-    warnings.warn(
-        "build_pompe_cluster is deprecated; use "
-        "repro.harness.build_cluster(config, protocol='pompe')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.harness.factory import build_cluster
-
-    return build_cluster(
-        config, protocol="pompe", node_classes=node_classes, node_kwargs=node_kwargs
-    )
-
-
-__all__ = ["PompeCluster", "build_pompe_cluster"]
+__all__ = ["PompeCluster"]

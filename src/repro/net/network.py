@@ -20,53 +20,21 @@ adds transferable signatures.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.net.adversary import NetworkAdversary, NullAdversary
 from repro.net.bandwidth import BandwidthModel
 from repro.net.faults import FaultInjector
 from repro.net.latency import LatencyModel, UniformLatencyModel
-from repro.net.message import BUNDLE_HEADER_BYTES, BUNDLE_KIND, Message
+from repro.net.message import Message
 from repro.net.reliable import ACK_KIND, FRAME_KIND, ReliableConfig, ReliableLayer
 from repro.sim.engine import MILLISECONDS, Simulator
 from repro.sim.process import SimProcess
 
 #: Hook signature: (time_us, src, dst, message) -> None
 TraceHook = Callable[[int, int, int, Message], None]
-
-
-@dataclass
-class WireStats:
-    """Coalescing-layer counters: logical messages vs physical frames."""
-
-    #: Logical messages that entered the coalescing layer.
-    messages_sent: int = 0
-    #: Physical frames actually put on the wire by flushes.
-    frames_sent: int = 0
-    #: Frames that carried more than one message.
-    bundles_sent: int = 0
-    #: Messages that travelled inside a multi-message frame.
-    messages_coalesced: int = 0
-    #: Flush passes that sent at least one frame.
-    flushes: int = 0
-
-    def coalescing_ratio(self) -> float:
-        """Average messages per physical frame (1.0 = no coalescing win)."""
-        if self.frames_sent == 0:
-            return 1.0
-        return self.messages_sent / self.frames_sent
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "messages_sent": self.messages_sent,
-            "frames_sent": self.frames_sent,
-            "bundles_sent": self.bundles_sent,
-            "messages_coalesced": self.messages_coalesced,
-            "flushes": self.flushes,
-            "coalescing_ratio": round(self.coalescing_ratio(), 4),
-        }
 
 
 @dataclass
@@ -118,13 +86,6 @@ class Network:
         self.bytes_delivered = 0
         self.unroutable_dropped = 0
         self.corrupt_dropped = 0
-        # Wire-frame coalescing (off by default; see ``enable_coalescing``).
-        self.wire_stats = WireStats()
-        self._coalesce = False
-        self._coalesce_window_us = 0
-        self._outboxes: Dict[Tuple[int, int], List[Message]] = {}
-        #: Senders with an armed window-flush timer (window > 0 only).
-        self._flush_timers: set = set()
         # Per-link delivery counters keyed by the packed pid pair
         # ``(src << 20) | dst`` — an int key skips the per-message tuple
         # allocation and tuple hash a ``(src, dst)`` key would cost.
@@ -178,49 +139,6 @@ class Network:
             partial(self._deliver, src, dst, message),
             priority=src + 1,
         )
-
-    def enable_coalescing(self, window_us: int = 0) -> None:
-        """Turn on link-level frame coalescing.
-
-        All messages emitted on one (src, dst) link during the same
-        simulated instant (``window_us == 0``) — or within ``window_us``
-        of the sender's first enqueue (``window_us > 0``) — leave as one
-        physical frame: one delivery event, one latency/bandwidth draw, one
-        checksum, and one fault draw.  Fault semantics are per frame (a
-        dropped/corrupted frame takes every bundled message with it), and
-        flushes walk links in sorted-pid order so RNG draws stay
-        deterministic.  Reliable-layer frames and acks ride the same
-        bundles.
-        """
-        if self._coalesce:
-            return
-        self._coalesce = True
-        self._coalesce_window_us = int(window_us)
-        if self._coalesce_window_us == 0:
-            self.sim.add_end_of_instant_hook(self._flush_outboxes)
-
-    @property
-    def coalescing_enabled(self) -> bool:
-        return self._coalesce
-
-    def pending_coalesced(self) -> int:
-        """Messages parked in open coalescing windows, awaiting a flush."""
-        return sum(len(box) for box in self._outboxes.values())
-
-    def drain_pending(self) -> int:
-        """Force-flush every open coalescing window right now.
-
-        With ``coalesce_window_us > 0`` the shared flush timer can land
-        past the simulator's run horizon, leaving messages parked in
-        outboxes when the run stops — they must be flushed (and the
-        resulting deliveries given time to land), not silently dropped.
-        :meth:`LyraCluster.run` calls this in its end-of-run drain loop.
-        Returns the number of messages flushed.
-        """
-        pending = self.pending_coalesced()
-        if pending:
-            self._flush_outboxes()
-        return pending
 
     def enable_link_stats(self) -> None:
         """Track per-(src, dst) delivered message/byte counts.
@@ -353,17 +271,6 @@ class Network:
                     continue
                 reliable.send(src, dst, message)
             return attempts
-        if self._coalesce:
-            enqueue = self._enqueue_coalesced
-            for dst in self._replicas:
-                if dst == src and not include_self:
-                    continue
-                attempts += 1
-                if dst not in processes:
-                    self.unroutable_dropped += 1
-                    continue
-                enqueue(src, dst, message)
-            return attempts
         if faults is None and type(self.adversary) is NullAdversary:
             fast = self._broadcast_fast(src, message, include_self)
             if fast >= 0:
@@ -449,95 +356,11 @@ class Network:
         sim.schedule_block(items, priority=src + 1)
         return count
 
-    # ------------------------------------------------------------------
-    # Wire-frame coalescing
-    # ------------------------------------------------------------------
-    def _enqueue_coalesced(self, src: int, dst: int, message: Message) -> None:
-        """Park ``message`` in the (src, dst) outbox until the flush."""
-        key = (src, dst)
-        box = self._outboxes.get(key)
-        if box is None:
-            box = self._outboxes[key] = []
-        box.append(message)
-        self.wire_stats.messages_sent += 1
-        if self._coalesce_window_us == 0:
-            self.sim.mark_instant_dirty()
-        elif src not in self._flush_timers:
-            # One flush timer per *sender* per burst: the sender's own
-            # first enqueue arms it, so a node's flush times are a pure
-            # function of its own timeline.  (A cluster-global timer
-            # would couple every sender's flush to whoever enqueued
-            # first — physically odd for per-NIC batching, and it would
-            # break the sender-side-only property shard workers rely on.)
-            self._flush_timers.add(src)
-            self.sim.schedule(
-                self._coalesce_window_us, partial(self._window_flush, src)
-            )
-
-    def _window_flush(self, src: int) -> None:
-        self._flush_timers.discard(src)
-        keys = [key for key in self._outboxes if key[0] == src]
-        if not keys:
-            # drain_pending beat the timer to these outboxes; nothing to do.
-            return
-        self.wire_stats.flushes += 1
-        flush_link = self._flush_link
-        for key in sorted(keys):
-            flush_link(key[0], key[1], self._outboxes.pop(key))
-
-    def _flush_outboxes(self) -> None:
-        """Send every dirty link's outbox as one physical frame per link.
-
-        Links flush in sorted (src, dst) order so the fault/latency RNG
-        stream — and therefore the whole run — is deterministic.
-        """
-        boxes = self._outboxes
-        if not boxes:
-            return
-        self._outboxes = {}
-        self.wire_stats.flushes += 1
-        flush_link = self._flush_link
-        for key in sorted(boxes):
-            flush_link(key[0], key[1], boxes[key])
-
-    def _flush_link(self, src: int, dst: int, msgs: List[Message]) -> None:
-        stats = self.wire_stats
-        if len(msgs) == 1:
-            # A lone message needs no bundle wrapper: it IS the frame.
-            frame = msgs[0]
-        else:
-            frame = Message(
-                BUNDLE_KIND,
-                tuple(msgs),
-                BUNDLE_HEADER_BYTES + sum(m.size for m in msgs),
-            )
-            stats.bundles_sent += 1
-            stats.messages_coalesced += len(msgs)
-        stats.frames_sent += 1
-        frame.stamp_checksum()
-        if self.faults is not None:
-            # One fault draw per physical frame: dropping or corrupting the
-            # frame takes every bundled message with it.
-            decision = self.faults.decide(src, dst, frame, self.sim.now)
-            if decision.drop:
-                return
-            wire = frame
-            if decision.corrupt:
-                wire = FaultInjector.corrupted_copy(frame)
-            self._schedule_delivery(src, dst, wire, decision.extra_delay_us)
-            if decision.duplicate:
-                self._schedule_delivery(src, dst, frame.clone(), 0)
-        else:
-            self._schedule_delivery(src, dst, frame, 0)
-
     def _transmit(self, src: int, dst: int, message: Message) -> None:
         """Put one frame on the wire: stamp its checksum, apply link
         faults, and schedule each surviving copy's delivery."""
         if dst not in self._processes:
             self.unroutable_dropped += 1
-            return
-        if self._coalesce:
-            self._enqueue_coalesced(src, dst, message)
             return
         message.stamp_checksum()
         if self.faults is not None:
@@ -597,13 +420,9 @@ class Network:
         checksum = message.checksum
         if checksum and checksum != message.expected_checksum():
             # Damaged in flight: indistinguishable from loss at this layer.
-            # A damaged bundle loses every message it carried.
             self.corrupt_dropped += 1
             if self.faults is not None:
                 self.faults.stats.corrupt_detected += 1
-            return
-        if message.kind == BUNDLE_KIND:
-            self._deliver_bundle(src, dst, message, process)
             return
         if self.reliable is not None and message.kind in (FRAME_KIND, ACK_KIND):
             self.reliable.on_receive(src, dst, message, process)
@@ -634,45 +453,6 @@ class Network:
             for hook in self._trace_hooks:
                 hook(self.sim.now, src, dst, message)
         process.deliver(message, src)
-
-    def _deliver_bundle(
-        self, src: int, dst: int, bundle: Message, process: SimProcess
-    ) -> None:
-        """Unpack one coalesced frame at its destination.
-
-        Reliable-layer frames/acks are routed to the reliable layer (whose
-        acks go back through ``_transmit`` and therefore coalesce on the
-        return path); application messages are handed to the process in
-        one batch so the CPU model charges a single queueing decision for
-        the frame.
-        """
-        reliable = self.reliable
-        now = self.sim.now
-        trace_hooks = self._trace_hooks
-        stats = self._link_stats
-        dissemination = self.dissemination
-        batch: List[Message] = []
-        for inner in bundle.payload:
-            if reliable is not None and inner.kind in (FRAME_KIND, ACK_KIND):
-                reliable.on_receive(src, dst, inner, process)
-            elif dissemination is not None and inner.kind in dissemination.kinds:
-                dissemination.on_envelope(self, src, dst, inner)
-            elif not process.crashed:
-                self.messages_delivered += 1
-                self.bytes_delivered += inner.size
-                if stats is not None:
-                    try:
-                        counts = stats[(src << 20) | dst]
-                    except KeyError:
-                        counts = stats[(src << 20) | dst] = [0, 0]
-                    counts[0] += 1
-                    counts[1] += inner.size
-                if trace_hooks:
-                    for hook in trace_hooks:
-                        hook(now, src, dst, inner)
-                batch.append(inner)
-        if batch and not process.crashed:
-            process.deliver_batch(batch, src)
 
     def _deliver_clean(self, src: int, dst: int, message: Message) -> None:
         """Delivery for fast-path broadcasts: the checksum was stamped by

@@ -100,12 +100,6 @@ class Simulator:
         self._processed: int = 0
         #: Live count of queued events (kept O(1); see ``pending``).
         self._pending: int = 0
-        #: End-of-instant hooks: run whenever the loop is about to advance
-        #: past the current timestamp while the dirty flag is set.  The
-        #: coalescing layer uses this to flush per-link outboxes exactly
-        #: once per simulated instant (see ``add_end_of_instant_hook``).
-        self._instant_hooks: List[Callable[[], None]] = []
-        self._instant_dirty = False
 
     # ------------------------------------------------------------------
     # Clock
@@ -207,26 +201,6 @@ class Simulator:
         return self.schedule(when - self._now, callback, priority=priority)
 
     # ------------------------------------------------------------------
-    # End-of-instant hooks
-    # ------------------------------------------------------------------
-    def add_end_of_instant_hook(self, hook: Callable[[], None]) -> None:
-        """Register ``hook`` to run when the loop is about to leave the
-        current timestamp (or the queue empties) while the instant is
-        marked dirty.  Hooks fire *before* the ``until`` horizon check, so
-        work emitted at the final instant of a bounded ``run`` is still
-        flushed.  Hooks may schedule new events and re-mark the instant."""
-        self._instant_hooks.append(hook)
-
-    def mark_instant_dirty(self) -> None:
-        """Request an end-of-instant hook pass before time next advances."""
-        self._instant_dirty = True
-
-    def _run_instant_hooks(self) -> None:
-        self._instant_dirty = False
-        for hook in self._instant_hooks:
-            hook()
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _next_event(self) -> Optional[Event]:
@@ -257,9 +231,6 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
         event = self._next_event()
-        while self._instant_dirty and (event is None or event.time > self._now):
-            self._run_instant_hooks()
-            event = self._next_event()
         if event is None:
             return False
         if event.time < self._now:  # pragma: no cover - defensive
@@ -313,14 +284,6 @@ class Simulator:
                     heapq.heappop(times)
                     del buckets[t]
                     self._head_time = -1
-                # Flush coalescing outboxes before the clock leaves this
-                # instant — and before the ``until`` horizon check, so a
-                # burst at the boundary still goes out.
-                if self._instant_dirty and (
-                    event is None or event.time > self._now
-                ):
-                    self._run_instant_hooks()
-                    continue
                 if event is None:
                     if until is not None and self._now < until:
                         self._now = until

@@ -13,7 +13,7 @@ attaches itself and provides ``send``/``broadcast`` primitives.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.timers import TimerWheel
@@ -149,17 +149,6 @@ class SimProcess:
             return
         self.messages_received += 1
         self.on_message(message, sender)
-
-    def deliver_batch(self, messages: List["Message"], sender: int) -> None:
-        """Deliver several same-frame messages from ``sender``.
-
-        The network calls this when a coalesced frame unpacks into multiple
-        application messages.  The default just loops :meth:`deliver`;
-        subclasses may override to amortise per-message overhead (one CPU
-        acquire, one deferred event) across the batch.
-        """
-        for message in messages:
-            self.deliver(message, sender)
 
     def on_message(self, message: "Message", sender: int) -> None:
         """Dispatch on the message kind; subclasses may override entirely."""

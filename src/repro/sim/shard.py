@@ -262,20 +262,8 @@ def _shard_worker(conn, config_dict: Dict[str, Any], node_pids: List[int]) -> No
                         inject(src, dst, arr, msg)
                     cluster.sim.run(until=target)
                     loop_cpu += time.process_time() - cpu0
-                    out = captured[:]
+                    conn.send(captured[:])
                     captured.clear()
-                    conn.send((out, cluster.network.pending_coalesced()))
-                elif kind == "flush":
-                    _, frames = cmd
-                    cpu0 = time.process_time()
-                    inject = cluster.network.inject_remote
-                    for src, dst, arr, msg in frames:
-                        inject(src, dst, arr, msg)
-                    cluster.network.drain_pending()
-                    loop_cpu += time.process_time() - cpu0
-                    out = captured[:]
-                    captured.clear()
-                    conn.send((out, cluster.network.pending_coalesced()))
                 elif kind == "finish":
                     break
                 else:  # pragma: no cover - protocol bug
@@ -329,11 +317,6 @@ def _consolidate(cluster, local_nodes: set) -> Dict[str, Any]:
             "unroutable_dropped": cluster.network.unroutable_dropped,
             "corrupt_dropped": cluster.network.corrupt_dropped,
         },
-        "wire_stats": (
-            cluster.network.wire_stats.to_dict()
-            if cluster.network.wire_stats.frames_sent
-            else {}
-        ),
         "dissemination": (
             cluster.dissemination.stats_dict()
             if cluster.dissemination is not None
@@ -406,26 +389,15 @@ class _Workers:
             inboxes[owner[frame[1]]].append(frame)
         self.frames_exchanged += len(frames)
 
-    def _exchange(self, command: tuple) -> bool:
-        """Send one command (plus each worker's inbox) to every worker,
-        collect and route the captured frames.  Returns True if any
-        worker still has coalesced messages parked."""
+    def run_to(self, target_us: int) -> None:
+        """Run every worker to ``target_us`` (each gets its inbox of
+        frames along), then collect and route the captured frames."""
         inboxes = self.inboxes
         self.inboxes = [[] for _ in self.conns]
         for conn, inbox in zip(self.conns, inboxes):
-            conn.send(command + (inbox,))
-        pending = False
+            conn.send(("run", target_us, inbox))
         for conn in self.conns:
-            frames, worker_pending = self._recv(conn)
-            self._route(frames)
-            pending = pending or bool(worker_pending)
-        return pending
-
-    def run_to(self, target_us: int) -> bool:
-        return self._exchange(("run", target_us))
-
-    def flush(self) -> bool:
-        return self._exchange(("flush",))
+            self._route(self._recv(conn))
 
     def finish(self) -> List[Dict[str, Any]]:
         for conn in self.conns:
@@ -467,36 +439,14 @@ def run_sharded(config, n_shards: int) -> ShardedRun:
     started = time.perf_counter()
     workers = _Workers(_pool_context(), config, plan)
     barriers = 0
-    pending = False
     try:
         duration = config.duration_us
         epoch = plan.epoch_us
         now = 0
         while now < duration:
             now = min(now + epoch, duration)
-            pending = workers.run_to(now)
+            workers.run_to(now)
             barriers += 1
-        if pending and config.coalesce and config.coalesce_window_us > 0:
-            # Mirror LyraCluster._drain_coalesced across the fleet: flush
-            # every open window, give the protocol Δ-sized grace steps —
-            # each cut into epoch-bounded sub-barriers so lookahead still
-            # holds — and stop when no worker has parked messages (or at
-            # the same 10Δ deadline).  Frames still in flight at the stop
-            # are dropped, exactly as a single process drops events
-            # scheduled past its final horizon.
-            delta = config.delta_us
-            deadline = duration + 10 * delta
-            while True:
-                workers.flush()
-                if now >= deadline:
-                    break
-                step_target = min(now + delta, deadline)
-                while now < step_target:
-                    now = min(now + epoch, step_target)
-                    pending = workers.run_to(now)
-                    barriers += 1
-                if not pending:
-                    break
         blobs = workers.finish()
     finally:
         workers.close()
@@ -532,7 +482,6 @@ def _merge(config, blobs: List[Dict[str, Any]], wall_s: float):
     exec_events: Dict[int, list] = {}
     latencies_by_pid: List[Tuple[int, List[int]]] = []
     fault_stats: Dict[str, int] = {}
-    wire_stats: Dict[str, float] = {}
     dissemination: Optional[Dict[str, float]] = None
     result = ExperimentResult(
         n_nodes=config.n_nodes, duration_us=config.duration_us, sim_wall_s=wall_s
@@ -554,10 +503,6 @@ def _merge(config, blobs: List[Dict[str, Any]], wall_s: float):
         result.invariant_violations.extend(blob["invariant_violations"])
         for key, value in blob["fault_stats"].items():
             fault_stats[key] = fault_stats.get(key, 0) + value
-        for key, value in blob["wire_stats"].items():
-            if key == "coalescing_ratio":
-                continue
-            wire_stats[key] = wire_stats.get(key, 0) + value
         if blob["dissemination"] is not None:
             if dissemination is None:
                 dissemination = dict(blob["dissemination"])
@@ -578,14 +523,7 @@ def _merge(config, blobs: List[Dict[str, Any]], wall_s: float):
     if ticks:
         result.events_processed -= sum(ticks) - max(ticks)
     result.fault_stats = fault_stats
-    if wire_stats:
-        frames = wire_stats.get("frames_sent", 0)
-        wire_stats["coalescing_ratio"] = round(
-            wire_stats.get("messages_sent", 0) / frames if frames else 1.0, 4
-        )
-        result.wire_stats = wire_stats
     if dissemination is not None:
-        result.wire_stats = dict(result.wire_stats)
         result.wire_stats["dissemination"] = dissemination
 
     latencies: List[int] = []

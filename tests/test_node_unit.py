@@ -98,21 +98,6 @@ class TestReceiveCosts:
         assert node.messages_received == 1
         assert sim.now >= 50_000
 
-    def test_receive_charge_plan_sums_like_loop(self):
-        from repro.crypto.cost import ReceiveChargePlan
-
-        table = {"a": 2, "b": 3}
-        fallback_calls = []
-
-        def fallback(m):
-            fallback_calls.append(m.kind)
-            return 7
-
-        plan = ReceiveChargePlan(table, fallback)
-        msgs = [Message("a", {}), Message("b", {}), Message("zzz", {}), Message("a", {})]
-        assert plan.total_us(msgs) == 2 + 3 + 7 + 2
-        assert fallback_calls == ["zzz"]
-
 
 class TestBatching:
     def test_full_batch_triggers_proposal(self):
@@ -222,10 +207,10 @@ class TestServices:
 class TestInstanceGc:
     def test_finished_instances_reclaimed(self):
         from tests.helpers import quick_lyra_config
-        from repro.harness import build_lyra_cluster
+        from repro.harness import build_cluster
 
         cfg = quick_lyra_config(duration_us=6_000_000)
-        cluster = build_lyra_cluster(cfg)
+        cluster = build_cluster(cfg, protocol="lyra")
         result = cluster.run()
         assert result.committed_count > 0
         for node in cluster.nodes:
@@ -236,11 +221,11 @@ class TestInstanceGc:
 
     def test_late_traffic_for_finished_instance_ignored(self):
         from tests.helpers import quick_lyra_config
-        from repro.harness import build_lyra_cluster
+        from repro.harness import build_cluster
         from repro.core.vvb import VOTE0_KIND
 
         cfg = quick_lyra_config(duration_us=6_000_000)
-        cluster = build_lyra_cluster(cfg)
+        cluster = build_cluster(cfg, protocol="lyra")
         cluster.run()
         node = cluster.nodes[0]
         iid = next(iter(node._finished))

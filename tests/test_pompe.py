@@ -6,7 +6,8 @@ import dataclasses
 import pytest
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.pompe_cluster import build_pompe_cluster
+from repro.harness.factory import build_cluster
+from repro.net.faults import CrashEvent, FaultPlan
 from repro.sim.engine import MILLISECONDS, SECONDS
 
 from tests.helpers import quick_lyra_config
@@ -15,7 +16,7 @@ from tests.helpers import quick_lyra_config
 @pytest.fixture(scope="module")
 def pompe_run():
     cfg = quick_lyra_config(duration_us=5 * SECONDS)
-    cluster = build_pompe_cluster(cfg)
+    cluster = build_cluster(cfg, protocol="pompe")
     result = cluster.run()
     return cluster, result
 
@@ -38,18 +39,15 @@ class TestEndToEnd:
 
     def test_latency_higher_than_lyra(self, pompe_run):
         """Fig. 2's direction: Pompē needs more message rounds."""
-        from repro.harness.cluster import build_lyra_cluster
-
         _, pompe_result = pompe_run
-        lyra_result = build_lyra_cluster(
-            quick_lyra_config(duration_us=5 * SECONDS)
+        lyra_result = build_cluster(
+            quick_lyra_config(duration_us=5 * SECONDS), protocol="lyra"
         ).run()
         # ~10 delays vs ~3 delays + commit lag: Pompē should not be faster
         # by any meaningful margin on the same topology.
         assert pompe_result.avg_latency_us > 0.75 * lyra_result.avg_latency_us
 
     def test_uniform_delay_honoured(self):
-        from repro.harness import build_cluster
         from repro.net.latency import UniformLatencyModel
 
         cfg = quick_lyra_config(duration_us=3 * SECONDS)
@@ -68,16 +66,38 @@ class TestEndToEnd:
 
     def test_determinism(self):
         cfg = quick_lyra_config(duration_us=3 * SECONDS)
-        r1 = build_pompe_cluster(cfg).run()
-        r2 = build_pompe_cluster(cfg).run()
+        r1 = build_cluster(cfg, protocol="pompe").run()
+        r2 = build_cluster(cfg, protocol="pompe").run()
         assert r1.committed_count == r2.committed_count
         assert r1.events_processed == r2.events_processed
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (
+                "fault_plan",
+                FaultPlan(crashes=(CrashEvent(pid=1, crash_at_us=SECONDS),)),
+            ),
+            ("reliable_channels", True),
+            ("dissemination", "tree"),
+            ("tracing", True),
+            ("metrics", True),
+            ("attack_nodes", {3: "equivocate"}),
+        ],
+    )
+    def test_unsupported_knob_rejected(self, field, value):
+        # A knob Pompē does not wire must fail the build, not yield the
+        # clean run's result under the knob's label.
+        cfg = dataclasses.replace(quick_lyra_config(), **{field: value})
+        with pytest.raises(ValueError, match=field):
+            build_cluster(cfg, protocol="pompe")
+        build_cluster(cfg, protocol="lyra")
 
 
 class TestOrderingPhase:
     def _cluster(self):
         cfg = quick_lyra_config(clients_per_node=0, duration_us=3 * SECONDS)
-        return build_pompe_cluster(cfg)
+        return build_cluster(cfg, protocol="pompe")
 
     def test_median_within_correct_clock_range(self):
         """Ordering linearizability: the assigned median of 2f+1 signed

@@ -179,38 +179,6 @@ class TestChecksum:
         assert Message("x").verify_checksum()
 
 
-class TestCoalescedFrames:
-    def test_acks_piggyback_on_coalesced_frames(self):
-        # With coalescing on, a burst of reliable sends bundles the data
-        # frames into one physical frame, and the acks (all emitted at the
-        # delivery instant) coalesce on the return path the same way.
-        sim = Simulator()
-        net, (a, b) = build_net(sim)
-        net.enable_coalescing(0)
-        for i in range(5):
-            a.send(1, Message("m", {"i": i}))
-        sim.run()
-        assert [p["i"] for _, p, _ in b.got] == [0, 1, 2, 3, 4]
-        assert net.reliable.stats.delivered == 5
-        assert net.reliable.stats.acks_sent == 5
-        assert net.reliable.stats.retransmits == 0
-        ws = net.wire_stats
-        # One data bundle out, one ack bundle back.
-        assert ws.bundles_sent >= 2
-        assert ws.frames_sent < ws.messages_sent
-        assert ws.coalescing_ratio() > 1.0
-
-    def test_windowed_coalescing_delivers_exactly_once(self):
-        sim = Simulator()
-        net, (a, b) = build_net(sim)
-        net.enable_coalescing(500)
-        for i in range(8):
-            a.send(1, Message("m", {"i": i}))
-        sim.run()
-        assert [p["i"] for _, p, _ in b.got] == list(range(8))
-        assert net.reliable.stats.delivered == 8
-
-
 class TestFaultStatsCountOnce:
     def test_corrupted_then_retransmitted_counts_once(self):
         # Corrupt every transmission for the first 100 ms: the frame's

@@ -180,17 +180,13 @@ class _ModelEvent:
 class _ModelSimulator:
     """Reference semantics of :class:`Simulator`: one heap popping the
     least ``(time, priority, seq)`` key among live events — a sort by
-    that key, extended to events that callbacks schedule mid-run — plus
-    end-of-instant hooks that fire before the clock leaves a dirty
-    instant (and before the ``until`` check)."""
+    that key, extended to events that callbacks schedule mid-run."""
 
     def __init__(self):
         self.now = 0
         self.events_processed = 0
         self._heap = []
         self._seq = 0
-        self._hooks = []
-        self._dirty = False
 
     def schedule(self, delay, callback, *, priority=0):
         event = _ModelEvent(callback)
@@ -202,23 +198,12 @@ class _ModelSimulator:
         for delay, callback in items:
             self.schedule(delay, callback, priority=priority)
 
-    def add_end_of_instant_hook(self, hook):
-        self._hooks.append(hook)
-
-    def mark_instant_dirty(self):
-        self._dirty = True
-
     def run(self, until):
         heap = self._heap
         while True:
             while heap and heap[0][3].cancelled:
                 heapq.heappop(heap)
             head = heap[0] if heap else None
-            if self._dirty and (head is None or head[0] > self.now):
-                self._dirty = False
-                for hook in self._hooks:
-                    hook()
-                continue
             if head is None or head[0] > until:
                 self.now = until
                 return
@@ -277,23 +262,3 @@ def test_simulator_orders_like_model(seed):
         logs.append((log, sim.now, sim.events_processed))
     assert logs[0] == logs[1]
     assert len(logs[0][0]) > 400
-
-
-@pytest.mark.parametrize("seed", [5, 6])
-def test_simulator_instant_hooks_order_like_model(seed):
-    logs = []
-    for cls in (Simulator, _ModelSimulator):
-        sim = cls()
-        log = []
-
-        def hook(sim=sim, log=log):
-            log.append((sim.now, "hook"))
-
-        sim.add_end_of_instant_hook(hook)
-        _fuzz_schedule(sim, log, seed)
-        for t in (0, 3, 10, 200):
-            sim.schedule(t, sim.mark_instant_dirty)
-        sim.run(until=200)
-        logs.append((log, sim.now, sim.events_processed))
-    assert logs[0] == logs[1]
-    assert sum(1 for _, tag in logs[0][0] if tag == "hook") == 4

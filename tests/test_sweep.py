@@ -1,6 +1,6 @@
 """Sweep runner: cache hit/miss, per-cell failure isolation, parallel ==
-serial determinism; plus the unified factory, its deprecation shims, the
-drop-counting null transport, and verification memoization."""
+serial determinism; plus the unified factory, the drop-counting null
+transport, and verification memoization."""
 
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ from repro.harness import (
     PompeCluster,
     available_protocols,
     build_cluster,
-    build_lyra_cluster,
-    build_pompe_cluster,
 )
 from repro.harness.sweep import (
     SweepCell,
@@ -171,14 +169,24 @@ class TestResultRoundTrip:
         with pytest.raises(ValueError, match="unknown ExperimentConfig"):
             ExperimentConfig.from_dict({"n_nodes": 4, "bogus": 1})
 
-    def test_stale_backend_field_rejected(self):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backend", "python"),
+            ("coalesce", True),
+            ("coalesce_window_us", 1000),
+            ("probe_clients", 3),
+            ("probe_window", 1),
+        ],
+    )
+    def test_stale_backend_field_rejected(self, field, value):
         # Sweep-cache records written while configs still carried a
-        # ``backend`` field must fail loudly, not load with it ignored.
-        stale = {**tiny_config().to_dict(), "backend": "python"}
-        with pytest.raises(ValueError, match="backend"):
+        # deleted field must fail loudly, not load with it ignored.
+        stale = {**tiny_config().to_dict(), field: value}
+        with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_dict(stale)
         with pytest.raises(TypeError):
-            ExperimentConfig(backend="python")
+            ExperimentConfig(**{field: value})
 
 
 class TestFactoryAndShims:
@@ -193,21 +201,6 @@ class TestFactoryAndShims:
         with pytest.raises(ValueError, match="unknown protocol"):
             build_cluster(tiny_config(), protocol="hotstuff-marketing-name")
 
-    def test_lyra_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="build_lyra_cluster"):
-            cluster = build_lyra_cluster(tiny_config())
-        assert isinstance(cluster, LyraCluster)
-
-    def test_pompe_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="build_pompe_cluster"):
-            cluster = build_pompe_cluster(tiny_config())
-        assert isinstance(cluster, PompeCluster)
-
-    def test_shim_result_matches_factory_result(self):
-        with pytest.warns(DeprecationWarning):
-            via_shim = build_lyra_cluster(tiny_config()).run()
-        via_factory = build_cluster(tiny_config(), protocol="lyra").run()
-        assert via_shim == via_factory
 
 
 class TestNullTransport:

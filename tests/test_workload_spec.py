@@ -1,6 +1,6 @@
 """WorkloadSpec engine tests: placement, serialisation, the legacy shim,
 registry resolution, end-of-run accounting, per-seed determinism (with and
-without wire coalescing), and the Pompē-vs-Lyra MEV asymmetry."""
+without delta piggybacks), and the Pompē-vs-Lyra MEV asymmetry."""
 
 import warnings
 
@@ -93,15 +93,10 @@ class TestWorkloadSpec:
         assert spec.resolved_users(4) == 7
 
     def test_from_legacy_shape(self):
-        spec = WorkloadSpec.from_legacy(
-            clients_per_node=2, client_window=30, probe_clients=3
-        )
+        spec = WorkloadSpec.from_legacy(clients_per_node=2, client_window=30)
         assert spec.fairness is False  # legacy runs stay zero-overhead
-        main, probes = spec.groups
+        (main,) = spec.groups
         assert (main.count_per_node, main.window) == (2, 30)
-        assert (probes.count, probes.one_per_node, probes.window) == (3, True, 1)
-        # Without probes there is no probe group at all.
-        assert len(WorkloadSpec.from_legacy().groups) == 1
 
 
 class TestClientRegistry:
@@ -122,17 +117,6 @@ class TestClientRegistry:
 
 
 class TestLegacyShim:
-    def test_probe_knobs_warn(self):
-        config = ExperimentConfig(n_nodes=4, probe_clients=3)
-        with pytest.warns(DeprecationWarning, match="probe_clients"):
-            spec = config.resolved_workload()
-        assert spec == WorkloadSpec.from_legacy(
-            clients_per_node=config.clients_per_node,
-            client_window=config.client_window,
-            probe_clients=3,
-            probe_window=1,
-        )
-
     def test_defaults_do_not_warn(self):
         config = ExperimentConfig(n_nodes=4)
         with warnings.catch_warnings():
@@ -142,7 +126,7 @@ class TestLegacyShim:
 
     def test_explicit_workload_wins(self):
         explicit = WorkloadSpec(groups=(ClientGroup(name="g", count=1),))
-        config = ExperimentConfig(n_nodes=4, probe_clients=3, workload=explicit)
+        config = ExperimentConfig(n_nodes=4, clients_per_node=3, workload=explicit)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert config.resolved_workload() is explicit
@@ -233,7 +217,9 @@ class TestDeterminismAndAccounting:
         assert all(t <= 50_000 for t, _ in workload.submission_log())
 
 
-def run_cluster_cell(protocol="lyra", *, coalesce=False, metrics=False, seed=5):
+def run_cluster_cell(
+    protocol="lyra", *, delta_piggyback=False, metrics=False, seed=5
+):
     config = ExperimentConfig(
         n_nodes=4,
         seed=seed,
@@ -241,8 +227,7 @@ def run_cluster_cell(protocol="lyra", *, coalesce=False, metrics=False, seed=5):
         duration_us=1_500 * MILLISECONDS,
         warmup_rounds=2,
         warmup_spacing_us=150 * MILLISECONDS,
-        coalesce=coalesce,
-        delta_piggyback=coalesce,
+        delta_piggyback=delta_piggyback,
         metrics=metrics,
         workload=WorkloadSpec(
             groups=(
@@ -272,19 +257,18 @@ class TestClusterIntegration:
             counts["submitted"] == counts["completed"] + counts["incomplete"]
         )
 
-    def test_deterministic_across_coalescing(self):
+    def test_deterministic_across_delta_piggyback(self):
         logs = {}
-        for coalesce in (False, True):
-            cluster, result = run_cluster_cell(coalesce=coalesce, seed=6)
-            logs[coalesce] = (
+        for delta in (False, True):
+            cluster, result = run_cluster_cell(delta_piggyback=delta, seed=6)
+            logs[delta] = (
                 cluster.workload.submission_log(),
                 cluster.committed_order,
             )
         # The submission schedule is a pure function of (seed, spec): the
-        # wire-level coalescing setting must not perturb it.  The committed
-        # order is a *robustness* check, not bit-identity: coalescing
-        # changes message timing (bundle sizes, delta piggyback), so
-        # timestamp medians of txs submitted within a jitter of each other
+        # piggyback encoding must not perturb it.  The committed order is
+        # a *robustness* check, not bit-identity: delta piggybacks change
+        # message sizes and so message timing, so timestamp medians of txs submitted within a jitter of each other
         # can flip on unlucky seeds — this seed has no such close call.
         assert logs[False] == logs[True]
         assert len(logs[False][0]) > 0

@@ -64,6 +64,22 @@ def check_output_sorted(output: Sequence[Tuple[int, bytes]]) -> Optional[str]:
     return None
 
 
+def check_smr_safety(
+    outputs: Dict[int, Sequence[Tuple[int, bytes]]],
+) -> Optional[str]:
+    """SMR-Safety plus Definition 5 over every replica's committed log:
+    prefix consistency first, then each log (in pid order) sorted by
+    decided sequence number.  ``None`` when both hold."""
+    problem = check_prefix_consistency(outputs)
+    if problem is not None:
+        return problem
+    for pid in sorted(outputs):
+        err = check_output_sorted(outputs[pid])
+        if err is not None:
+            return f"pid {pid}: {err}"
+    return None
+
+
 def check_lower_bounded(
     decided: Dict[bytes, int],
     perceived_by_correct: Dict[int, Dict[bytes, int]],
@@ -121,6 +137,7 @@ __all__ = [
     "is_prefix",
     "check_prefix_consistency",
     "check_output_sorted",
+    "check_smr_safety",
     "check_lower_bounded",
     "ordering_of",
     "front_running_succeeded",

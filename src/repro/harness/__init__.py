@@ -9,13 +9,12 @@
 """
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.cluster import ExperimentResult, LyraCluster
+from repro.harness.cluster import ExperimentResult, LyraCluster, PompeCluster
 from repro.harness.factory import (
     available_protocols,
     build_cluster,
     register_protocol,
 )
-from repro.harness.pompe_cluster import PompeCluster
 from repro.harness.sweep import (
     SweepCell,
     SweepReport,

@@ -8,7 +8,7 @@ They are used by ``benchmarks/bench_fig1_frontrunning.py`` and the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.attacks.pompe_attacks import (
     ATTACK_MARKER,
@@ -16,18 +16,11 @@ from repro.attacks.pompe_attacks import (
     VICTIM_MARKER,
     batch_contains,
 )
-from repro.baselines.pompe import PompeConfig, PompeNode
-from repro.core.commit import CommitConfig
-from repro.core.node import LyraConfig, LyraNode
-from repro.core.obfuscation import make_obfuscation
+from repro.core.node import LyraNode
 from repro.core.types import Batch, InstanceId, Transaction
-from repro.crypto.signatures import KeyRegistry
-from repro.crypto.threshold import ThresholdScheme
-from repro.net.latency import GeoLatencyModel
-from repro.net.network import Network, NetworkConfig
-from repro.net.topology import Topology
-from repro.sim.engine import MILLISECONDS, Simulator
-from repro.sim.rng import RngRegistry
+from repro.harness.config import ExperimentConfig
+from repro.harness.factory import build_cluster
+from repro.sim.engine import MILLISECONDS
 from repro.workload.clients import OpenLoopClient
 
 
@@ -37,67 +30,71 @@ def _fig1_outcome_cls():
     return Fig1Outcome
 
 
+def _fig1_cluster(
+    scenario, protocol, attacker_cls, *, seed, duration_us, alice_start_us
+):
+    """The Fig. 1 deployment on the shared cluster core: jitter- and
+    skew-free links, one-transaction batches, Mallory at pid 1, and Alice
+    sending one victim transaction from the Tokyo replica's region."""
+    config = ExperimentConfig(
+        n_nodes=scenario.n,
+        regions=scenario.regions(),
+        seed=seed,
+        delta_us=200 * MILLISECONDS,
+        jitter=0.0,
+        clock_skew_max_us=0,
+        batch_size=1,
+        batch_timeout_us=20 * MILLISECONDS,
+        lambda_us=5 * MILLISECONDS,
+        warmup_rounds=3,
+        warmup_spacing_us=200 * MILLISECONDS,
+        clients_per_node=0,
+        duration_us=duration_us,
+    )
+    cluster = build_cluster(
+        config, protocol=protocol, node_classes={1: attacker_cls}
+    )
+    alice = OpenLoopClient(
+        cluster.topology.place(scenario.victim_region),
+        cluster.sim,
+        0,
+        interval_us=1_000_000,
+        start_at_us=alice_start_us,
+        count=1,
+        body=VICTIM_MARKER,
+    )
+    cluster.clients.append(alice)
+    cluster.network.register(alice, replica=False)
+    return cluster
+
+
 # ----------------------------------------------------------------------
 # Pompē: clear-text ordering — the attack is expected to SUCCEED.
 # ----------------------------------------------------------------------
 def run_pompe_attack(scenario, *, seed: int = 7, duration_us: int = 12_000_000):
     Fig1Outcome = _fig1_outcome_cls()
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    n, f = scenario.n, scenario.f
-    topology = Topology(n, scenario.regions())
-    registry = KeyRegistry(seed)
-    threshold = ThresholdScheme(2 * f + 1, n, seed=seed)
-
-    nodes: List[PompeNode] = []
-    for pid in range(n):
-        cfg = PompeConfig(batch_size=1, batch_timeout_us=20 * MILLISECONDS)
-        cls = CherryPickingOrdererNode if pid == 1 else PompeNode
-        nodes.append(
-            cls(
-                pid,
-                sim,
-                n=n,
-                f=f,
-                registry=registry,
-                threshold=threshold,
-                config=cfg,
-                rng=rng,
-            )
-        )
-
-    latency = GeoLatencyModel(topology.placement, jitter=0.0, rng=rng)
-    network = Network(
-        sim, latency, config=NetworkConfig(delta_us=200 * MILLISECONDS)
+    cluster = _fig1_cluster(
+        scenario,
+        "pompe",
+        CherryPickingOrdererNode,
+        seed=seed,
+        duration_us=duration_us,
+        alice_start_us=1_000_000,
     )
-    for node in nodes:
-        network.register(node, replica=True)
-
-    # Alice: one victim transaction from Tokyo, homed at the Tokyo replica.
-    alice_pid = topology.place(scenario.victim_region)
-    alice = OpenLoopClient(
-        alice_pid,
-        sim,
-        0,
-        interval_us=1_000_000,
-        start_at_us=1_000_000,
-        count=1,
-        body=VICTIM_MARKER,
-    )
-    network.register(alice, replica=False)
-
     # Record executed batches at the victim's replica.
-    executed: List[Tuple[int, Batch]] = []
-    nodes[0].on_executed = lambda cert: executed.append(
-        (cert.assigned_ts, cert.batch)
-    )
+    executed: List[Batch] = []
+    victim_node = cluster.nodes[0]
+    hook = victim_node.on_executed
 
-    for node in nodes:
-        node.start()
-    sim.run(until=duration_us)
+    def record(cert):
+        hook(cert)
+        executed.append(cert.batch)
+
+    victim_node.on_executed = record
+    cluster.run()
 
     victim_pos = attacker_pos = None
-    for idx, (_, batch) in enumerate(executed):
+    for idx, batch in enumerate(executed):
         if batch_contains(batch, VICTIM_MARKER) and victim_pos is None:
             victim_pos = idx
         if batch_contains(batch, ATTACK_MARKER) and attacker_pos is None:
@@ -107,7 +104,7 @@ def run_pompe_attack(scenario, *, seed: int = 7, duration_us: int = 12_000_000):
         if victim_pos is not None and attacker_pos is not None
         else None
     )
-    attacker = nodes[1]
+    attacker = cluster.nodes[1]
     return Fig1Outcome(
         attack_succeeded=succeeded,
         victim_position=victim_pos,
@@ -180,63 +177,18 @@ class LyraBackdatingAttacker(LyraNode):
 
 def run_lyra_attack(scenario, *, seed: int = 7, duration_us: int = 12_000_000):
     Fig1Outcome = _fig1_outcome_cls()
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    n, f = scenario.n, scenario.f
-    topology = Topology(n, scenario.regions())
-    registry = KeyRegistry(seed)
-    threshold = ThresholdScheme(2 * f + 1, n, seed=seed)
-    obf = make_obfuscation("vss", 2 * f + 1, n, seed=seed)
-
-    nodes: List[LyraNode] = []
-    for pid in range(n):
-        cfg = LyraConfig(
-            batch_size=1,
-            batch_timeout_us=20 * MILLISECONDS,
-            commit=CommitConfig(lambda_us=5 * MILLISECONDS),
-            warmup_rounds=3,
-            warmup_spacing_us=200 * MILLISECONDS,
-        )
-        cls = LyraBackdatingAttacker if pid == 1 else LyraNode
-        nodes.append(
-            cls(
-                pid,
-                sim,
-                n=n,
-                f=f,
-                registry=registry,
-                threshold=threshold,
-                obfuscation=obf,
-                config=cfg,
-                rng=rng,
-            )
-        )
-
-    latency = GeoLatencyModel(topology.placement, jitter=0.0, rng=rng)
-    network = Network(
-        sim, latency, config=NetworkConfig(delta_us=200 * MILLISECONDS)
+    cluster = _fig1_cluster(
+        scenario,
+        "lyra",
+        LyraBackdatingAttacker,
+        seed=seed,
+        duration_us=duration_us,
+        alice_start_us=1_500_000,  # after warm-up
     )
-    for node in nodes:
-        network.register(node, replica=True)
-
-    alice_pid = topology.place(scenario.victim_region)
-    alice = OpenLoopClient(
-        alice_pid,
-        sim,
-        0,
-        interval_us=1_000_000,
-        start_at_us=1_500_000,  # after warm-up
-        count=1,
-        body=VICTIM_MARKER,
-    )
-    network.register(alice, replica=False)
-
-    for node in nodes:
-        node.start()
-    sim.run(until=duration_us)
+    cluster.run()
+    nodes = cluster.nodes
 
     attacker: LyraBackdatingAttacker = nodes[1]  # type: ignore[assignment]
-    output = nodes[0].output_sequence()
     victim_pos = attacker_pos = None
     # Identify positions via executed plaintexts at node 0.
     for idx, entry in enumerate(nodes[0].commit.output_log):

@@ -1,10 +1,13 @@
-"""Cluster builders and the experiment runner.
+"""The cluster core and the experiment runner.
 
-:class:`LyraCluster` assembles a full simulated deployment — topology,
-WAN, PKI, threshold/VSS schemes, replicas, closed-loop clients — from an
-:class:`~repro.harness.config.ExperimentConfig`, runs it for the configured
-virtual duration, and returns consolidated measurements plus safety-check
-results.  The Pompē equivalent lives in :mod:`repro.harness.pompe_cluster`.
+:class:`Cluster` assembles a full simulated deployment — topology, WAN,
+PKI, threshold scheme, replicas, clients, chaos, watchdog — from an
+:class:`~repro.harness.config.ExperimentConfig`, runs it for the
+configured virtual duration, and returns consolidated measurements plus
+safety-check results.  :class:`LyraCluster` and :class:`PompeCluster`
+are its protocol subclasses: each supplies a replica factory, an
+execution-hook adapter, its MEV observation point and the knobs it
+cannot honour, so both protocols run under one wiring.
 """
 
 from __future__ import annotations
@@ -13,18 +16,20 @@ import gc
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.baselines.pompe import PompeConfig, PompeNode
 from repro.core.clocks import true_distance_us
 from repro.core.commit import CommitConfig
 from repro.core.gossip_distance import GossipDistanceEstimator
 from repro.core.node import LyraConfig, LyraNode
 from repro.core.obfuscation import make_obfuscation
-from repro.core.smr import check_output_sorted, check_prefix_consistency
+from repro.core.smr import check_smr_safety
 from repro.crypto.cost import DEFAULT_COSTS
 from repro.crypto.signatures import KeyRegistry
 from repro.crypto.threshold import ThresholdScheme
 from repro.harness.config import ExperimentConfig
+from repro.metrics.fairness import fairness_block
 from repro.metrics.invariants import InvariantWatchdog
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.tracelog import TraceLog, install_lyra_tracing
@@ -34,8 +39,7 @@ from repro.net.faults import FaultInjector
 from repro.net.latency import make_latency_model
 from repro.net.network import Network, NetworkConfig
 from repro.net.topology import Topology
-from repro.metrics.fairness import fairness_block
-from repro.sim.engine import SECONDS, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload.clients import TxKey, _BaseClient
 from repro.workload.kvstore import KvStore
@@ -116,12 +120,60 @@ class ExperimentResult:
         return cls(**data)
 
 
-class LyraCluster:
-    """A fully wired Lyra deployment inside one simulator.
+def summarize_run(
+    result: ExperimentResult,
+    config: ExperimentConfig,
+    latencies: List[int],
+    exec_events: Iterable[List[Tuple[int, int]]],
+) -> None:
+    """Fill ``result``'s client latency summary and windowed throughput.
 
-    ``node_classes`` maps pid -> a :class:`LyraNode` subclass (Byzantine
-    behaviours for attack experiments); ``node_kwargs`` maps pid -> extra
-    constructor kwargs for that subclass.
+    Throughput is replica-side: each node's executed transactions inside
+    the measurement window, median across nodes (all correct replicas
+    execute the same log; the median is robust to stragglers still
+    draining at the cutoff).  Shared by :meth:`Cluster.run` and the
+    sharded coordinator, so both report the same estimators.
+    """
+    result.latencies_us = latencies
+    if latencies:
+        result.avg_latency_us = float(statistics.fmean(latencies))
+        ordered = sorted(latencies)
+        result.p50_latency_us = float(ordered[len(ordered) // 2])
+        result.p99_latency_us = float(
+            ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
+        )
+    measure_from = config.measurement_start_us()
+    window_us = max(1, config.duration_us - measure_from)
+    per_node = sorted(
+        sum(count for t, count in events if t >= measure_from)
+        for events in exec_events
+    )
+    if per_node:
+        result.throughput_tps = (
+            per_node[len(per_node) // 2] * 1_000_000.0 / window_us
+        )
+
+
+class Cluster:
+    """One protocol deployment inside one simulator.
+
+    The core owns everything the protocols share, so Lyra and Pompē run
+    under the same topology, keys, clock skews, workload, network (with
+    chaos, reliable channels and dissemination), crash schedule,
+    invariant watchdog and result assembly.  A protocol subclass supplies:
+
+    - ``node_class`` and :meth:`_make_node`, the replica factory;
+    - :meth:`_install_exec_hook`, adapting the replica's execution
+      callback to ``on_batch(batch)``;
+    - :meth:`_tap_mev`, where colocated MEV bots observe payloads;
+    - ``unsupported``, the config knobs it cannot honour, each with the
+      test for a value that asks for it.  A build that sets one is
+      refused: a run labelled with a knob that never ran is worse than
+      no run.
+
+    ``node_classes`` maps pid -> a replica subclass (Byzantine behaviours
+    for attack experiments); ``node_kwargs`` maps pid -> extra constructor
+    kwargs for that subclass.
 
     ``local_pids`` puts the cluster in shard-worker mode (see
     :mod:`repro.sim.shard`): the FULL cluster is still built — identical
@@ -131,6 +183,11 @@ class LyraCluster:
     (:meth:`SimProcess.send` drops silently when crashed).
     """
 
+    #: Replica class for pids without a ``node_classes`` override.
+    node_class: type = object
+    #: ``(ExperimentConfig field, requested(value) -> bool)`` pairs.
+    unsupported: Tuple[Tuple[str, Callable[[Any], bool]], ...] = ()
+
     def __init__(
         self,
         config: ExperimentConfig,
@@ -139,6 +196,13 @@ class LyraCluster:
         node_kwargs: Optional[Dict[int, dict]] = None,
         local_pids: Optional[Sequence[int]] = None,
     ) -> None:
+        for name, requested in self.unsupported:
+            value = getattr(config, name)
+            if requested(value):
+                raise ValueError(
+                    f"{type(self).__name__} does not support "
+                    f"ExperimentConfig.{name}={value!r}"
+                )
         self.config = config
         self.local_pids: Optional[frozenset] = (
             frozenset(local_pids) if local_pids is not None else None
@@ -165,56 +229,25 @@ class LyraCluster:
         self.topology = Topology(n, config.regions)
         self.registry = KeyRegistry(config.seed)
         self.threshold = ThresholdScheme(2 * f + 1, n, seed=config.seed)
-        self.obf = make_obfuscation(
-            config.obfuscation, 2 * f + 1, n, seed=config.seed
-        )
         costs = DEFAULT_COSTS.scaled(config.cpu_cost_scale)
 
         # Replicas.
-        self.nodes: List[LyraNode] = []
+        self.nodes: List[Any] = []
         skew_rng = self.rng.get("clock-skew")
         for pid in range(n):
-            node_cfg = LyraConfig(
-                batch_size=config.batch_size,
-                batch_timeout_us=config.batch_timeout_us,
-                commit=CommitConfig(
-                    lambda_us=config.lambda_us,
-                    check_dealing=config.check_dealing,
-                    max_proposer_rate_per_s=config.max_proposer_rate_per_s,
-                    delta_piggyback=config.delta_piggyback,
-                    report_quorum=config.report_quorum,
-                ),
-                status_interval_us=config.status_interval_us,
-                warmup_rounds=config.warmup_rounds,
-                warmup_spacing_us=config.warmup_spacing_us,
-                distance_mode=config.distance_mode,
-                gossip_fanout=config.gossip_fanout,
-                gossip_rounds=config.gossip_rounds,
-                gossip_spacing_us=config.gossip_spacing_us,
-                gossip_seed=config.seed,
-                obfuscation=config.obfuscation,
-                costs=costs,
-                clock_skew_us=int(
-                    skew_rng.integers(
-                        -config.clock_skew_max_us, config.clock_skew_max_us + 1
-                    )
-                ),
+            skew_us = int(
+                skew_rng.integers(
+                    -config.clock_skew_max_us, config.clock_skew_max_us + 1
+                )
             )
-            cls = (node_classes or {}).get(pid, LyraNode)
+            cls = (node_classes or {}).get(pid, self.node_class)
             extra = (node_kwargs or {}).get(pid, {})
-            node = cls(
-                pid,
-                self.sim,
-                n=n,
-                f=f,
-                registry=self.registry,
-                threshold=self.threshold,
-                obfuscation=self.obf,
-                config=node_cfg,
-                rng=self.rng,
-                **extra,
+            self.nodes.append(
+                self._make_node(
+                    cls, pid, n=n, f=f, costs=costs, clock_skew_us=skew_us,
+                    extra=extra,
+                )
             )
-            self.nodes.append(node)
 
         # Clients: declared by the workload spec (legacy knobs shim into
         # an equivalent spec), resolved through the client registry, each
@@ -261,7 +294,7 @@ class LyraCluster:
                 sorted(
                     pid
                     for pid, cls in (node_classes or {}).items()
-                    if cls is not LyraNode
+                    if cls is not self.node_class
                 )
             )
             plan.validate_for(n, f, byzantine=byz)
@@ -311,10 +344,187 @@ class LyraCluster:
                 if ev.recover_at_us is not None:
                     self.sim.schedule_at(ev.recover_at_us, node.recover)
 
-        # Observability: span tracing over the node tracer hook, and the
-        # metrics registry every layer emits into.  Both off by default;
-        # neither draws randomness nor schedules events, so enabling them
-        # leaves the decided prefix bit-identical.
+        # Always-on invariant watchdog: prefix agreement, commit
+        # regression, ordered output, and post-GST liveness.  A shard
+        # worker watches only its local replicas — the remote ones never
+        # start here and would trip the liveness check.
+        liveness_from = max(adversary.gst(), config.measurement_start_us())
+        self.watchdog = InvariantWatchdog(
+            self.sim, self.local_nodes(), f=f, gst_us=liveness_from
+        )
+
+        # Execution layer + per-node execution event log (time, tx count).
+        # The fairness layer taps replica 0's execution order (all correct
+        # replicas execute the same log); MEV bots observe payloads where
+        # the protocol first exposes them (:meth:`_tap_mev`).
+        self.committed_order: List[TxKey] = []
+        mev_by_home = self.workload.mev_bots_by_home()
+        self.stores: Dict[int, KvStore] = {}
+        self.exec_events: Dict[int, List[Tuple[int, int]]] = {}
+        for node in self.nodes:
+            store = KvStore()
+            self.stores[node.pid] = store
+            events: List[Tuple[int, int]] = []
+            self.exec_events[node.pid] = events
+
+            def on_batch(batch, store=store, events=events, sim=self.sim):
+                store.apply_batch(batch)
+                events.append((sim.now, len(batch)))
+
+            if self.workload_spec.fairness and node.pid == 0:
+
+                def on_batch(batch, prev=on_batch, order=self.committed_order):
+                    prev(batch)
+                    order.extend(tx.key() for tx in batch.txs)
+
+            bots = mev_by_home.get(node.pid)
+            if bots:
+                on_batch = self._tap_mev(node, tuple(bots), on_batch)
+            self._install_exec_hook(node, on_batch)
+
+    # ------------------------------------------------------------------
+    # Protocol hooks
+    # ------------------------------------------------------------------
+    def _make_node(self, cls, pid, *, n, f, costs, clock_skew_us, extra):
+        raise NotImplementedError
+
+    def _install_exec_hook(self, node, on_batch) -> None:
+        """Point ``node``'s execution callback at ``on_batch(batch)``."""
+        raise NotImplementedError
+
+    def _tap_mev(self, node, bots, on_batch):
+        """Let ``bots`` observe the batches ``node`` sees; returns the
+        execution callback to install.  Default: bots observe at
+        execution."""
+
+        def tapped(batch):
+            on_batch(batch)
+            for bot in bots:
+                bot.on_observed_batch(batch)
+
+        return tapped
+
+    def _add_protocol_results(self, result: ExperimentResult) -> None:
+        """Protocol-specific additions to a finished run's result."""
+
+    # ------------------------------------------------------------------
+    def local_nodes(self) -> List[Any]:
+        """The replicas this process simulates (all of them outside shard
+        mode)."""
+        if self.local_pids is None:
+            return self.nodes
+        return [node for node in self.nodes if node.pid in self.local_pids]
+
+    def start(self) -> None:
+        """Start the local replicas, then the watchdog."""
+        for node in self.local_nodes():
+            node.start()
+        self.watchdog.start()
+
+    def finish(self) -> None:
+        """End-of-run sampling: the final watchdog check, then workload
+        accounting (whatever is still in flight counts as incomplete,
+        never silently dropped)."""
+        self.watchdog.check_now()
+        self.workload.finalize(self.sim.now)
+
+    def fault_stats(self) -> Dict[str, int]:
+        """Network drop counters plus the fault injector's and reliable
+        channels' counters, when those are on."""
+        stats: Dict[str, int] = {
+            "unroutable_dropped": self.network.unroutable_dropped,
+            "corrupt_dropped": self.network.corrupt_dropped,
+        }
+        if self.fault_injector is not None:
+            stats.update(self.fault_injector.stats.to_dict())
+        if self.network.reliable is not None:
+            stats.update(self.network.reliable.stats.to_dict())
+        return stats
+
+    def run(self, *, skip_safety_check: bool = False) -> ExperimentResult:
+        """Run the configured duration and consolidate measurements."""
+        cfg = self.config
+        self.start()
+        # The event loop allocates millions of short-lived events/messages
+        # and creates no reference cycles on its hot path; suspending the
+        # cyclic collector for the duration avoids repeated full-heap scans.
+        # Purely a wall-clock optimisation: virtual time is unaffected.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        loop_start = time.perf_counter()
+        try:
+            self.sim.run(until=cfg.duration_us)
+        finally:
+            sim_wall_s = time.perf_counter() - loop_start
+            if gc_was_enabled:
+                gc.enable()
+        self.finish()
+
+        latencies: List[int] = []
+        for client in self.clients:
+            latencies.extend(client.stats.latencies_us)
+        result = ExperimentResult(
+            n_nodes=cfg.n_nodes,
+            duration_us=cfg.duration_us,
+            # Replica-side executed transactions (clients only see their
+            # own completions).
+            executed_total=max(
+                (node.stats.txs_executed for node in self.nodes), default=0
+            ),
+            committed_count=sum(c.stats.completed for c in self.clients),
+            events_processed=self.sim.events_processed,
+            messages_delivered=self.network.messages_delivered,
+            bytes_delivered=self.network.bytes_delivered,
+            sim_wall_s=sim_wall_s,
+        )
+        summarize_run(result, cfg, latencies, self.exec_events.values())
+        result.invariant_checks = self.watchdog.report.checks_run
+        result.invariant_violations = [
+            v.render() for v in self.watchdog.report.violations
+        ]
+        result.fault_stats = self.fault_stats()
+        if self.workload_spec.fairness:
+            block = fairness_block(
+                submitted_order=self.workload.submit_order(),
+                committed_order=self.committed_order,
+                attempts=self.workload.sandwich_attempts(),
+                latencies_by_group=self.workload.latencies_by_group(),
+            )
+            block["counts"] = self.workload.counts()
+            result.fairness = block
+        if self.dissemination is not None:
+            result.wire_stats["dissemination"] = self.dissemination.stats_dict()
+        self._add_protocol_results(result)
+        if not skip_safety_check:
+            result.safety_violation = check_smr_safety(
+                {node.pid: node.output_sequence() for node in self.nodes}
+            )
+        return result
+
+
+class LyraCluster(Cluster):
+    """A fully wired Lyra deployment: VSS-obfuscated proposals, replicas
+    executing ``(entry, batch)``, MEV bots observing at execution — under
+    Lyra that is the first moment *any* replica can read a VSS-encrypted
+    body, which is why sandwiches structurally fail here.
+
+    Span tracing (``config.tracing``, read via ``trace``) and the metrics
+    registry (``config.metrics``) hook into Lyra's replicas; both are off
+    by default, and neither draws randomness nor schedules events, so
+    enabling them leaves the decided prefix bit-identical.
+    """
+
+    node_class = LyraNode
+
+    def __init__(self, config: ExperimentConfig, **kwargs) -> None:
+        self.obf = make_obfuscation(
+            config.obfuscation,
+            2 * config.resolved_f() + 1,
+            config.n_nodes,
+            seed=config.seed,
+        )
+        super().__init__(config, **kwargs)
         self.trace: Optional[TraceLog] = None
         if config.tracing:
             self.trace = install_lyra_tracing(self)
@@ -340,60 +550,68 @@ class LyraCluster:
             # registered by ``LyraNode.enable_metrics`` itself).
             self.metrics.add_source("distance", self.distance_error_stats)
 
-        # Always-on invariant watchdog: prefix agreement, commit
-        # regression, ordered output, and post-GST liveness.  A shard
-        # worker watches only its local replicas — the remote ones never
-        # start here and would trip the liveness check.
-        liveness_from = max(adversary.gst(), config.measurement_start_us())
-        self.watchdog = InvariantWatchdog(
-            self.sim, self.local_nodes(), f=f, gst_us=liveness_from
+    def _make_node(self, cls, pid, *, n, f, costs, clock_skew_us, extra):
+        config = self.config
+        node_cfg = LyraConfig(
+            batch_size=config.batch_size,
+            batch_timeout_us=config.batch_timeout_us,
+            commit=CommitConfig(
+                lambda_us=config.lambda_us,
+                check_dealing=config.check_dealing,
+                max_proposer_rate_per_s=config.max_proposer_rate_per_s,
+                delta_piggyback=config.delta_piggyback,
+                report_quorum=config.report_quorum,
+            ),
+            status_interval_us=config.status_interval_us,
+            warmup_rounds=config.warmup_rounds,
+            warmup_spacing_us=config.warmup_spacing_us,
+            distance_mode=config.distance_mode,
+            gossip_fanout=config.gossip_fanout,
+            gossip_rounds=config.gossip_rounds,
+            gossip_spacing_us=config.gossip_spacing_us,
+            gossip_seed=config.seed,
+            obfuscation=config.obfuscation,
+            costs=costs,
+            clock_skew_us=clock_skew_us,
+        )
+        return cls(
+            pid,
+            self.sim,
+            n=n,
+            f=f,
+            registry=self.registry,
+            threshold=self.threshold,
+            obfuscation=self.obf,
+            config=node_cfg,
+            rng=self.rng,
+            **extra,
         )
 
-        # Execution layer + per-node execution event log (time, tx count).
-        # The fairness layer taps replica 0's execution order (all correct
-        # replicas execute the same log), and MEV bots observe payloads at
-        # their home replica's execution — under Lyra that is the first
-        # moment *any* replica can read a VSS-encrypted body, which is why
-        # sandwiches structurally fail here (contrast the Pompē cluster's
-        # cleartext ordering-phase tap).
-        self.committed_order: List[TxKey] = []
-        mev_by_home = self.workload.mev_bots_by_home()
-        self.stores: Dict[int, KvStore] = {}
-        self.exec_events: Dict[int, List[Tuple[int, int]]] = {}
-        for node in self.nodes:
-            store = KvStore()
-            self.stores[node.pid] = store
-            events: List[Tuple[int, int]] = []
-            self.exec_events[node.pid] = events
+    def _install_exec_hook(self, node, on_batch) -> None:
+        node.on_executed = lambda entry, batch: on_batch(batch)
 
-            def _hook(entry, batch, store=store, events=events, node=node):
-                store.apply_batch(batch)
-                events.append((node.sim.now, len(batch)))
-
-            hook = _hook
-            if self.workload_spec.fairness and node.pid == 0:
-
-                def hook(entry, batch, prev=hook, order=self.committed_order):
-                    prev(entry, batch)
-                    order.extend(tx.key() for tx in batch.txs)
-
-            bots = mev_by_home.get(node.pid)
-            if bots:
-
-                def hook(entry, batch, prev=hook, bots=tuple(bots)):
-                    prev(entry, batch)
-                    for bot in bots:
-                        bot.on_observed_batch(batch)
-
-            node.on_executed = hook
-
-    # ------------------------------------------------------------------
-    def local_nodes(self) -> List[LyraNode]:
-        """The replicas this process simulates (all of them outside shard
-        mode)."""
-        if self.local_pids is None:
-            return self.nodes
-        return [node for node in self.nodes if node.pid in self.local_pids]
+    def _add_protocol_results(self, result: ExperimentResult) -> None:
+        result.rejected_instances = sum(
+            node.commit.rejected_count for node in self.nodes if node.commit
+        )
+        result.accepted_instances = max(
+            (node.commit.accepted_count for node in self.nodes if node.commit),
+            default=0,
+        )
+        if self.config.distance_mode == "gossip":
+            result.wire_stats["gossip_distance"] = self.gossip_distance_stats()
+            result.wire_stats["distance_error"] = self.distance_error_stats()
+        if self.metrics is not None:
+            # End-of-run estimator accuracy: per-pair abs errors land in a
+            # registry histogram (p50/p99 via the shared summary path).
+            self.metrics.histogram("distance", "abs_error_us").observe_many(
+                self._distance_error_values()[1]
+            )
+            snap = self.metrics.snapshot()
+            link = self.network.link_stats()
+            if link:
+                snap["links"] = link
+            result.metrics = snap
 
     # ------------------------------------------------------------------
     # Metrics scrape sources (polled at snapshot time, never on hot paths)
@@ -510,131 +728,72 @@ class LyraCluster:
             "min_coverage": min(s["coverage"] for s in per_node),
         }
 
-    # ------------------------------------------------------------------
-    def run(self, *, skip_safety_check: bool = False) -> ExperimentResult:
-        """Run the configured duration and consolidate measurements."""
-        cfg = self.config
-        for node in self.local_nodes():
-            node.start()
-        self.watchdog.start()
-        # The event loop allocates millions of short-lived events/messages
-        # and creates no reference cycles on its hot path; suspending the
-        # cyclic collector for the duration avoids repeated full-heap scans.
-        # Purely a wall-clock optimisation: virtual time is unaffected.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        loop_start = time.perf_counter()
-        try:
-            self.sim.run(until=cfg.duration_us)
-        finally:
-            sim_wall_s = time.perf_counter() - loop_start
-            if gc_was_enabled:
-                gc.enable()
-        self.watchdog.check_now()  # final end-of-run sample
-        # End-of-run accounting: whatever is still in flight is counted
-        # as incomplete, never silently dropped.
-        self.workload.finalize(self.sim.now)
 
-        measure_from = cfg.measurement_start_us()
-        latencies: List[int] = []
-        for client in self.clients:
-            latencies.extend(client.stats.latencies_us)
-        # Throughput: replica-side executed transactions over the
-        # measurement window (clients only see their own completions).
-        executed_total = max(
-            (node.stats.txs_executed for node in self.nodes), default=0
+class PompeCluster(Cluster):
+    """A fully wired Pompē deployment — the §VI baseline.
+
+    Pompē batches travel in clear text during the ordering phase, so a
+    bot colocated with its home replica sees every victim payload
+    *before* a timestamp is assigned — the attack surface Lyra closes.
+    Replicas execute ordering certificates (``cert.batch``).
+
+    Pompē does not honour the chaos and observability knobs: under loss
+    with reliable channels, crash/recovery, or tree/gossip dissemination
+    its executor breaks SMR safety (ROADMAP item 4), and tracing, metrics
+    and attack replicas are Lyra hooks.
+    """
+
+    node_class = PompeNode
+    unsupported = (
+        ("fault_plan", lambda plan: plan is not None and not plan.empty),
+        ("reliable_channels", bool),
+        ("dissemination", lambda strategy: strategy != "all2all"),
+        ("tracing", bool),
+        ("metrics", bool),
+        ("attack_nodes", bool),
+    )
+
+    def _make_node(self, cls, pid, *, n, f, costs, clock_skew_us, extra):
+        node_cfg = PompeConfig(
+            batch_size=self.config.batch_size,
+            batch_timeout_us=self.config.batch_timeout_us,
+            costs=costs,
+            clock_skew_us=clock_skew_us,
+        )
+        return cls(
+            pid,
+            self.sim,
+            n=n,
+            f=f,
+            registry=self.registry,
+            threshold=self.threshold,
+            config=node_cfg,
+            rng=self.rng,
+            **extra,
         )
 
-        result = ExperimentResult(
-            n_nodes=cfg.n_nodes,
-            duration_us=cfg.duration_us,
-            executed_total=executed_total,
-            committed_count=sum(c.stats.completed for c in self.clients),
-            latencies_us=latencies,
-            events_processed=self.sim.events_processed,
-            messages_delivered=self.network.messages_delivered,
-            bytes_delivered=self.network.bytes_delivered,
-            sim_wall_s=sim_wall_s,
-        )
-        if latencies:
-            result.avg_latency_us = float(statistics.fmean(latencies))
-            ordered = sorted(latencies)
-            result.p50_latency_us = float(ordered[len(ordered) // 2])
-            result.p99_latency_us = float(ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))])
-        result.throughput_tps = self._windowed_throughput(measure_from)
-        result.rejected_instances = sum(
-            node.commit.rejected_count for node in self.nodes if node.commit
-        )
-        result.accepted_instances = max(
-            (node.commit.accepted_count for node in self.nodes if node.commit),
-            default=0,
-        )
-        result.invariant_checks = self.watchdog.report.checks_run
-        result.invariant_violations = [
-            v.render() for v in self.watchdog.report.violations
-        ]
-        stats: Dict[str, int] = {
-            "unroutable_dropped": self.network.unroutable_dropped,
-            "corrupt_dropped": self.network.corrupt_dropped,
-        }
-        if self.fault_injector is not None:
-            stats.update(self.fault_injector.stats.to_dict())
-        if self.network.reliable is not None:
-            stats.update(self.network.reliable.stats.to_dict())
-        result.fault_stats = stats
-        if self.workload_spec.fairness:
-            block = fairness_block(
-                submitted_order=self.workload.submit_order(),
-                committed_order=self.committed_order,
-                attempts=self.workload.sandwich_attempts(),
-                latencies_by_group=self.workload.latencies_by_group(),
-            )
-            block["counts"] = self.workload.counts()
-            result.fairness = block
-        if self.dissemination is not None:
-            result.wire_stats["dissemination"] = self.dissemination.stats_dict()
-        if cfg.distance_mode == "gossip":
-            result.wire_stats["gossip_distance"] = self.gossip_distance_stats()
-            result.wire_stats["distance_error"] = self.distance_error_stats()
-        if self.metrics is not None:
-            # End-of-run estimator accuracy: per-pair abs errors land in a
-            # registry histogram (p50/p99 via the shared summary path).
-            self.metrics.histogram("distance", "abs_error_us").observe_many(
-                self._distance_error_values()[1]
-            )
-            snap = self.metrics.snapshot()
-            link = self.network.link_stats()
-            if link:
-                snap["links"] = link
-            result.metrics = snap
-        if not skip_safety_check:
-            outputs = {node.pid: node.output_sequence() for node in self.nodes}
-            result.safety_violation = check_prefix_consistency(outputs)
-            if result.safety_violation is None:
-                for pid, output in outputs.items():
-                    err = check_output_sorted(output)
-                    if err is not None:
-                        result.safety_violation = f"pid {pid}: {err}"
-                        break
-        return result
+    def _install_exec_hook(self, node, on_batch) -> None:
+        node.on_executed = lambda cert: on_batch(cert.batch)
 
-    def _windowed_throughput(self, measure_from: int) -> float:
-        """Committed-transaction throughput over the measurement window,
-        from replica-side execution timestamps (the paper reports
-        replica-observed commit throughput)."""
-        window_us = max(1, self.config.duration_us - measure_from)
-        per_node = [
-            sum(count for t, count in events if t >= measure_from)
-            for events in self.exec_events.values()
-        ]
-        if not per_node:
-            return 0.0
-        # All correct replicas execute the same log; take the median to be
-        # robust to stragglers still draining at the cutoff.
-        per_node.sort()
-        total = per_node[len(per_node) // 2]
-        return total * 1_000_000.0 / window_us
+    def _tap_mev(self, node, bots, on_batch):
+        # Observe in the ordering phase, chained after any existing hook
+        # (a colluding CherryPickingOrdererNode installs its own).
+        prev = node.observe_batch
+
+        def tap(batch, sender):
+            if prev is not None:
+                prev(batch, sender)
+            for bot in bots:
+                bot.on_observed_batch(batch)
+
+        node.observe_batch = tap
+        return on_batch
 
 
-__all__ = ["LyraCluster", "ExperimentResult"]
+__all__ = [
+    "Cluster",
+    "ExperimentResult",
+    "LyraCluster",
+    "PompeCluster",
+    "summarize_run",
+]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.harness.cluster import LyraCluster
+from repro.harness.cluster import LyraCluster, PompeCluster
 from repro.harness.config import ExperimentConfig
-from repro.harness.pompe_cluster import PompeCluster
 
 #: A builder takes (config, *, node_classes, node_kwargs) and returns a
 #: cluster object exposing ``run(*, skip_safety_check=False)``.

@@ -63,7 +63,9 @@ from repro.harness.config import ExperimentConfig
 #: priority src+1) and per-source jitter streams — every digest changed —
 #: plus the ``dissemination``/``fanout`` config knobs (hashed via
 #: ``config.to_dict()`` like every other field).
-CACHE_SCHEMA = 2
+#: Schema 3: Pompē runs on the shared cluster core, so its results carry
+#: watchdog counts and ``events_processed`` includes the watchdog ticks.
+CACHE_SCHEMA = 3
 
 
 # ----------------------------------------------------------------------

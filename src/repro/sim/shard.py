@@ -54,7 +54,6 @@ submission/observation order).
 from __future__ import annotations
 
 import hashlib
-import statistics
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -238,9 +237,7 @@ def _shard_worker(conn, config_dict: Dict[str, Any], node_pids: List[int]) -> No
         cluster.network.enable_sharding(
             local, lambda src, dst, arr, msg: captured.append((src, dst, arr, msg))
         )
-        for node in cluster.local_nodes():
-            node.start()
-        cluster.watchdog.start()
+        cluster.start()
         conn.send(("ready", sorted(local)))
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
@@ -271,8 +268,7 @@ def _shard_worker(conn, config_dict: Dict[str, Any], node_pids: List[int]) -> No
         finally:
             if gc_was_enabled:
                 gc.enable()
-        cluster.watchdog.check_now()
-        cluster.workload.finalize(cluster.sim.now)
+        cluster.finish()
         blob = _consolidate(cluster, local_nodes)
         blob["loop_cpu_s"] = loop_cpu
         conn.send(("done", blob))
@@ -313,20 +309,13 @@ def _consolidate(cluster, local_nodes: set) -> Dict[str, Any]:
         "invariant_violations": [
             v.render() for v in cluster.watchdog.report.violations
         ],
-        "fault_stats": {
-            "unroutable_dropped": cluster.network.unroutable_dropped,
-            "corrupt_dropped": cluster.network.corrupt_dropped,
-        },
+        "fault_stats": cluster.fault_stats(),
         "dissemination": (
             cluster.dissemination.stats_dict()
             if cluster.dissemination is not None
             else None
         ),
     }
-    if cluster.fault_injector is not None:
-        blob["fault_stats"].update(cluster.fault_injector.stats.to_dict())
-    if cluster.network.reliable is not None:
-        blob["fault_stats"].update(cluster.network.reliable.stats.to_dict())
     return blob
 
 
@@ -475,8 +464,8 @@ def _run_single(config, plan: ShardPlan) -> ShardedRun:
 
 def _merge(config, blobs: List[Dict[str, Any]], wall_s: float):
     """Fold worker blobs into one ExperimentResult + the merged outputs."""
-    from repro.core.smr import check_output_sorted, check_prefix_consistency
-    from repro.harness.cluster import ExperimentResult
+    from repro.core.smr import check_smr_safety
+    from repro.harness.cluster import ExperimentResult, summarize_run
 
     outputs: Dict[int, list] = {}
     exec_events: Dict[int, list] = {}
@@ -529,33 +518,8 @@ def _merge(config, blobs: List[Dict[str, Any]], wall_s: float):
     latencies: List[int] = []
     for _pid, values in sorted(latencies_by_pid):
         latencies.extend(values)
-    result.latencies_us = latencies
-    if latencies:
-        result.avg_latency_us = float(statistics.fmean(latencies))
-        ordered = sorted(latencies)
-        result.p50_latency_us = float(ordered[len(ordered) // 2])
-        result.p99_latency_us = float(
-            ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-        )
-    # Same estimator as LyraCluster._windowed_throughput: per-node window
-    # sums, median across the merged fleet.
-    measure_from = config.measurement_start_us()
-    window_us = max(1, config.duration_us - measure_from)
-    per_node = sorted(
-        sum(count for t, count in events if t >= measure_from)
-        for events in exec_events.values()
-    )
-    if per_node:
-        result.throughput_tps = (
-            per_node[len(per_node) // 2] * 1_000_000.0 / window_us
-        )
+    summarize_run(result, config, latencies, exec_events.values())
     # The cross-shard safety check is the whole point: prefix agreement
     # is verified over the union of every worker's replicas.
-    result.safety_violation = check_prefix_consistency(outputs)
-    if result.safety_violation is None:
-        for pid in sorted(outputs):
-            err = check_output_sorted(outputs[pid])
-            if err is not None:
-                result.safety_violation = f"pid {pid}: {err}"
-                break
+    result.safety_violation = check_smr_safety(outputs)
     return result, outputs

@@ -30,6 +30,9 @@ class TestEndToEnd:
     def test_prefix_consistency(self, pompe_run):
         _, result = pompe_run
         assert result.safety_violation is None
+        # The shared cluster core runs the always-on watchdog for Pompē too.
+        assert result.invariant_checks > 0
+        assert not result.invariant_violations
 
     def test_execution_in_timestamp_order(self, pompe_run):
         cluster, _ = pompe_run
